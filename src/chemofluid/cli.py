@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
+import scipy.fft
 
 from . import diagnostics, verify
 from .diagnostics import (
@@ -299,13 +300,7 @@ def write_csv(path: str, traj: Trajectory) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         cols = [s.column(name) for name in CSV_COLUMNS]
         for i in range(len(s)):
-            row = []
-            for name, col in zip(CSV_COLUMNS, cols):
-                if name == "poisson_iters":
-                    row.append(str(int(col[i])))
-                else:
-                    row.append(_fmt(col[i]))
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(_fmt(col[i]) for col in cols) + "\n")
 
 
 def read_csv(path: str):
@@ -348,7 +343,8 @@ def _cmd_run(args) -> int:
     C_N = poincare_constant(params.grid)
     echo = echo_block(cfg, C_N)
     print(echo)
-    traj = run(params, initial)
+    with scipy.fft.set_workers(args.threads):
+        traj = run(params, initial)
     write_csv(os.path.join(outdir, "series.csv"), traj)
     if cfg.snapshot_every:
         _write_snapshots(outdir, traj)
@@ -461,6 +457,13 @@ def _cmd_mms(args) -> int:
     return 0 if ok else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="chemofluid",
@@ -472,7 +475,12 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="scipy.fft workers per transform (results are identical for any count)",
+    )
     p_run.set_defaults(fn=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")

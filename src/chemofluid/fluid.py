@@ -5,7 +5,8 @@ The velocity update is a Chorin-style split: an explicit viscous + convective
 projection returns to the divergence-free subspace.  Because the projection
 subtracts ``gradient_cc`` of a pressure potential and the divergence is taken
 by the same flux-form operator, the post-projection divergence is controlled
-directly by the Poisson residual.
+directly by the Poisson residual.  The pressure Poisson problem is solved
+directly by fast cosine transforms and certified by one residual check.
 
 Convection transports with the Yosida-smoothed velocity ``(I + eps*A)^{-1} u``,
 realized as a componentwise Helmholtz resolvent ``(I - eps*Lap)^{-1}`` with
@@ -33,6 +34,7 @@ from .grid import (
 
 __all__ = [
     "SolverFailure",
+    "neumann_eigenvalues",
     "PoissonSolver",
     "FluidParams",
     "helmholtz_project",
@@ -48,81 +50,44 @@ __all__ = [
 
 
 class SolverFailure(RuntimeError):
-    """Raised when an iterative solve misses its tolerance."""
+    """Raised when a solve fails its residual certificate."""
 
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(f"{message} (residual={residual:.3e} after {iterations} iterations)")
+    def __init__(self, message: str, residual: float):
+        super().__init__(f"{message} (relative residual={residual:.3e})")
         self.residual = residual
-        self.iterations = iterations
+
+
+def neumann_eigenvalues(N: int, h: float) -> np.ndarray:
+    """Eigenvalues of the 1-D zero-flux ``-Lap`` stencil, cosine modes k = 0..N-1."""
+    k = np.arange(N)
+    return (4.0 / h**2) * np.sin(k * np.pi / (2 * N)) ** 2
 
 
 class PoissonSolver:
-    """Preconditioned CG for the cell-centered zero-flux Laplacian.
+    """Direct cosine-transform solve of the cell-centered zero-flux Laplacian.
 
-    Solves ``Lap q = b`` in the mean-zero gauge.  The operator has a constant
-    nullspace; compatibility is enforced by subtracting the right-hand-side
-    mean, and iterates stay mean-free.  The default preconditioner is the
-    exact cosine-basis inverse of the same stencil (uniform boxes), so solves
-    finish in a polished iteration or two; "jacobi" selects plain diagonal
-    scaling.  One instance owns mutable scratch buffers and a warm-start
-    cache, so use one instance per running simulation.
+    Solves ``Lap q = b`` in the mean-zero gauge.  On a uniform box the DCT-II
+    diagonalizes the stencil exactly, so a solve is one forward transform, a
+    scaling by the inverse eigenvalues precomputed here (zero at the k = 0
+    nullspace entry, which also drops the mean of ``b``: the compatibility
+    condition), one inverse transform and a mean subtraction.  One stencil
+    matrix-vector product then certifies the result: its residual must lie
+    below ``tol * ||b - mean(b)||`` or the solve raises, a NaN residual
+    included.  A direct solve makes no iterations: ``last_iterations`` is 0.
     """
 
-    def __init__(
-        self,
-        grid: Grid,
-        tol: float = 1e-10,
-        max_iter: int = None,
-        preconditioner: str = "spectral",
-    ):
+    def __init__(self, grid: Grid, tol: float = 1e-10):
         self.grid = grid
         self.tol = tol
-        self.max_iter = max_iter if max_iter is not None else max(2000, 40 * max(grid.cells))
-        if preconditioner not in ("spectral", "jacobi"):
-            raise ValueError(f"unknown preconditioner {preconditioner!r}")
-        self.preconditioner = preconditioner
-        self._diag = self._build_diagonal()
-        self._inv_diag = 1.0 / self._diag
-        self._neumann_eigs = self._build_neumann_eigs() if preconditioner == "spectral" else None
-        self._warm = None
+        lam = np.zeros(grid.shape)
+        for d in range(grid.dim):
+            shape = [1] * grid.dim
+            shape[d] = grid.cells[d]
+            lam = lam + neumann_eigenvalues(grid.cells[d], grid.spacing[d]).reshape(shape)
+        lam.flat[0] = np.inf  # constant nullspace: its coefficient maps to zero
+        self._inv_eigs = 1.0 / lam
         self.last_iterations = 0
         self.last_residual = 0.0
-
-    def _build_neumann_eigs(self) -> np.ndarray:
-        # eigenvalues of -Lap in the cosine basis that diagonalizes the
-        # zero-flux stencil on a uniform box; the k=0 entry is the nullspace
-        lam = np.zeros(self.grid.shape)
-        for d in range(self.grid.dim):
-            N = self.grid.cells[d]
-            h = self.grid.spacing[d]
-            ev = (4.0 / h**2) * np.sin(np.arange(N) * np.pi / (2 * N)) ** 2
-            shape = [1] * self.grid.dim
-            shape[d] = N
-            lam = lam + ev.reshape(shape)
-        return lam
-
-    def _apply_preconditioner(self, r: np.ndarray) -> np.ndarray:
-        if self.preconditioner == "jacobi":
-            return r * self._inv_diag
-        spec = scipy.fft.dctn(r, type=2, norm="ortho")
-        flat = spec.reshape(-1)
-        lam = self._neumann_eigs.reshape(-1)
-        out = np.zeros_like(flat)
-        out[1:] = flat[1:] / lam[1:]
-        return scipy.fft.dctn(out.reshape(spec.shape), type=3, norm="ortho")
-
-    def _build_diagonal(self) -> np.ndarray:
-        # diagonal of -Lap: interior cells see 2/h^2 per axis, wall cells 1/h^2
-        diag = np.zeros(self.grid.shape)
-        for d in range(self.grid.dim):
-            h2 = self.grid.spacing[d] ** 2
-            contrib = np.full(self.grid.cells[d], 2.0 / h2)
-            contrib[0] = 1.0 / h2
-            contrib[-1] = 1.0 / h2
-            shape = [1] * self.grid.dim
-            shape[d] = self.grid.cells[d]
-            diag = diag + contrib.reshape(shape)
-        return diag
 
     def apply_neg_laplacian(self, p: np.ndarray) -> np.ndarray:
         """Matrix-vector product with ``-Lap`` (zero-flux walls)."""
@@ -147,71 +112,32 @@ class PoissonSolver:
             out[tuple(first)] -= (p[tuple(second)] - p[tuple(first)]) / h2
         return out
 
-    def solve(
-        self,
-        b: np.ndarray,
-        x0: np.ndarray = None,
-        warm: bool = True,
-        abs_target: float = None,
-    ):
-        """Return ``q`` with ``Lap q = b`` (mean-zero), raising on non-convergence.
+    def solve(self, b: np.ndarray, abs_target: float = None) -> np.ndarray:
+        """Return ``q`` with ``Lap q = b`` (mean-zero), raising if uncertified.
 
-        Convergence requires the residual below ``tol * ||b||`` and, when
+        The residual must lie below ``tol * ||b - mean(b)||`` and, when
         ``abs_target`` is given, below that absolute level as well (the
         projection uses it to pin the post-projection divergence).
         """
         b = np.asarray(b, dtype=np.float64)
-        rhs = -(b - b.mean())
+        rhs = b.mean() - b  # -Lap q = rhs
         rhs_norm = float(np.sqrt((rhs * rhs).sum()))
         if rhs_norm == 0.0:
-            self.last_iterations = 0
             self.last_residual = 0.0
             return np.zeros_like(rhs)
         target = self.tol * rhs_norm
         if abs_target is not None:
             target = min(target, abs_target)
-        if x0 is not None:
-            x = x0 - x0.mean()
-        elif warm and self._warm is not None:
-            x = self._warm.copy()
-        else:
-            x = np.zeros_like(rhs)
-        r = rhs - self.apply_neg_laplacian(x)
+        spec = scipy.fft.dctn(rhs, type=2, norm="ortho")
+        spec *= self._inv_eigs
+        q = scipy.fft.dctn(spec, type=3, norm="ortho", overwrite_x=True)
+        q -= q.mean()
+        r = rhs - self.apply_neg_laplacian(q)
         res = float(np.sqrt((r * r).sum()))
-        if res > rhs_norm:
-            # warm start worse than a cold one; also keeps the attainable
-            # roundoff floor proportional to this right-hand side
-            x = np.zeros_like(rhs)
-            r = rhs.copy()
-            res = rhs_norm
-        z = self._apply_preconditioner(r)
-        p = z.copy()
-        rz = float((r * z).sum())
-        it = 0
-        while res > target and it < self.max_iter:
-            Ap = self.apply_neg_laplacian(p)
-            denom = float((p * Ap).sum())
-            if denom <= 0.0 or rz <= 0.0:
-                break  # Krylov breakdown at the roundoff floor
-            alpha = rz / denom
-            x += alpha * p
-            r -= alpha * Ap
-            res = float(np.sqrt((r * r).sum()))
-            it += 1
-            if res <= target:
-                break
-            z = self._apply_preconditioner(r)
-            rz_new = float((r * z).sum())
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        self.last_iterations = it
         self.last_residual = res / rhs_norm
-        if res > target:
-            raise SolverFailure("pressure Poisson solve did not converge", res / rhs_norm, it)
-        x -= x.mean()
-        if warm:
-            self._warm = x.copy()
-        return x
+        if not res <= target:  # written so that a NaN residual fails too
+            raise SolverFailure("pressure Poisson solve failed its residual check", res / rhs_norm)
+        return q
 
 
 @dataclass
@@ -235,11 +161,13 @@ class FluidParams:
 
 
 def project_with_potential(w: VectorField, solver: PoissonSolver):
-    """Helmholtz projection returning also the potential and solve stats.
+    """Helmholtz projection returning also the potential and the solve's
+    relative residual.
 
     The Poisson residual equals the post-projection divergence (flux-form
-    composition is exact), so it is driven below ``1e-10 * ||w|| / sqrt(vol)``
-    in cell-l2, giving ``||div(P w)||_L2 <= 1e-10 * ||w||_L2``.
+    composition is exact), so the solve's certificate checks it below
+    ``1e-10 * ||w|| / sqrt(vol)`` in cell-l2, giving
+    ``||div(P w)||_L2 <= 1e-10 * ||w||_L2``.
     """
     w.check_finite("projection input")
     rhs = divergence_fc(w)
@@ -251,7 +179,7 @@ def project_with_potential(w: VectorField, solver: PoissonSolver):
     qf = ScalarField(w.grid, q)
     gq = gradient_cc(qf)
     comps = [wc - gc for wc, gc in zip(w.components, gq.components)]
-    return VectorField(w.grid, comps), qf, solver.last_iterations
+    return VectorField(w.grid, comps), qf, solver.last_residual
 
 
 def helmholtz_project(w: VectorField, solver: PoissonSolver) -> VectorField:
@@ -458,7 +386,7 @@ def ns_substep(
 ):
     """One explicit momentum step followed by projection.
 
-    Returns ``(u_next, P, poisson_iterations)`` where the pressure is the
+    Returns ``(u_next, P, proj_residual)`` where the pressure is the
     projection potential divided by ``dt``.  ``forcing``, when given, is a
     callable ``forcing(coords, t, component) -> array`` sampled at face
     centers (manufactured-solution studies).
@@ -491,9 +419,9 @@ def ns_substep(
         _zero_walls(comp, d)
         comps.append(comp)
     u_star = VectorField(g, comps)
-    u_next, q, iters = project_with_potential(u_star, solver)
+    u_next, q, proj_residual = project_with_potential(u_star, solver)
     P = ScalarField(g, q.data / dt)
-    return u_next, P, iters
+    return u_next, P, proj_residual
 
 
 def energy_identity_residual(

@@ -40,7 +40,6 @@ __all__ = [
     "rotation_matrix",
     "eval_S_eps",
     "chemotactic_flux",
-    "chemotactic_drift_max",
 ]
 
 KINDS = ("scalar_saturating", "rotational", "user_table")
@@ -292,15 +291,3 @@ def chemotactic_flux(
     n_up, drift = _face_drift_components(n, c, spec, reg, rho_faces)
     comps = [n_up[d] * drift[d] for d in range(n.grid.dim)]
     return VectorField(n.grid, comps)
-
-
-def chemotactic_drift_max(
-    n: ScalarField,
-    c: ScalarField,
-    spec: SensitivitySpec,
-    reg: RegularizationParams,
-    rho_faces=None,
-) -> float:
-    """Largest face drift speed, used by the advective CFL bound."""
-    _, drift = _face_drift_components(n, c, spec, reg, rho_faces)
-    return max(float(np.abs(v).max()) for v in drift)

@@ -172,11 +172,7 @@ def advance(
 
 @dataclass
 class Trajectory:
-    """Recorded run: diagnostic series, optional snapshots, and run metadata.
-
-    ``poisson_residuals`` carries the pressure solver's final relative
-    residual for each recorded step (iteration counts live in the series).
-    """
+    """Recorded run: diagnostic series, optional snapshots, and run metadata."""
 
     params: SimParams
     nbar0: float
@@ -186,7 +182,6 @@ class Trajectory:
     lyapunov_config: object
     series: "diagnostics.DiagnosticsSeries"
     snapshots: list = dc_field(default_factory=list)
-    poisson_residuals: np.ndarray = None
     status: str = "completed"
     error: str = None
     steps: int = 0
@@ -200,30 +195,10 @@ class Trajectory:
 
 
 class _SeriesBuilder:
-    COLUMNS = (
-        "t",
-        "mass_n",
-        "mass_c",
-        "l2_n_dev",
-        "l2_c_dev",
-        "l2_u",
-        "grad_c_l2",
-        "grad_c_l4",
-        "lyapunov",
-        "D_n",
-        "D_c",
-        "D_u",
-        "n_inf_dev",
-        "c_inf_dev",
-        "u_inf",
-        "dt",
-        "poisson_iters",
-    )
-
     def __init__(self):
-        self.rows = {k: [] for k in self.COLUMNS}
+        self.rows = {k: [] for k in diagnostics.CSV_COLUMNS}
 
-    def record(self, state: State, nbar0, alpha, lyap_B, dt, iters):
+    def record(self, state: State, nbar0, alpha, lyap_B, dt, proj_residual):
         g = state.n.grid
         vol = g.volume_element
         r = self.rows
@@ -249,7 +224,7 @@ class _SeriesBuilder:
         r["c_inf_dev"].append(float(np.abs(dc).max()))
         r["u_inf"].append(state.u.max_abs())
         r["dt"].append(dt)
-        r["poisson_iters"].append(iters)
+        r["proj_residual"].append(proj_residual)
 
     def build(self):
         return diagnostics.DiagnosticsSeries(
@@ -281,9 +256,8 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
 
     rho_faces = rho_on_faces(g, params.regularization)
     builder = _SeriesBuilder()
-    builder.record(state, nbar0, params.sensitivity.alpha, lyap_B, 0.0, 0)
+    builder.record(state, nbar0, params.sensitivity.alpha, lyap_B, 0.0, 0.0)
     snapshots = [(0, state)]
-    residuals = [0.0]
 
     forced = (
         params.forcing_n is not None
@@ -314,9 +288,8 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
                     )
             if step % params.diagnostics_every == 0 or state.t >= params.T - 1e-14:
                 builder.record(
-                    state, nbar0, params.sensitivity.alpha, lyap_B, dt, solver.last_iterations
+                    state, nbar0, params.sensitivity.alpha, lyap_B, dt, solver.last_residual
                 )
-                residuals.append(solver.last_residual)
             if params.snapshot_every and (
                 step % params.snapshot_every == 0 or state.t >= params.T - 1e-14
             ):
@@ -337,7 +310,6 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
         lyapunov_config=lyap_cfg,
         series=series,
         snapshots=snapshots,
-        poisson_residuals=np.asarray(residuals[: len(series)], dtype=np.float64),
         status=status,
         error=error,
         steps=step,

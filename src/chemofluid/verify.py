@@ -22,12 +22,11 @@ from .diagnostics import (
     steady_state_distance,
     transient_end_time,
 )
-from .fluid import FluidParams, PoissonSolver, energy_identity_residual, ns_substep
+from .fluid import FluidParams, PoissonSolver, energy_identity_residual, helmholtz_project
 from .grid import Grid, ScalarField, VectorField, make_grid
 from .manufactured import MmsCase, mms_cases, mms_error
-from .sensitivity import RegularizationParams, SensitivitySpec
-from .stepper import SimParams, State, Trajectory, run
-from .transport import step_c, step_n
+from .sensitivity import RegularizationParams, SensitivitySpec, rho_on_faces
+from .stepper import SimParams, State, Trajectory, advance, run
 
 __all__ = [
     "AssertionResult",
@@ -629,9 +628,6 @@ def energy_residual_probe(
 ) -> float:
     """Mean per-step kinetic-energy identity residual at a fixed dt."""
     solver = PoissonSolver(params.grid)
-    from .fluid import helmholtz_project
-    from .sensitivity import rho_on_faces
-
     state = State(
         t=0.0,
         n=initial.n.copy(),
@@ -642,19 +638,9 @@ def energy_residual_probe(
     rho_faces = rho_on_faces(params.grid, params.regularization)
     total = 0.0
     for _ in range(steps):
-        n1 = step_n(
-            state.n,
-            state.c,
-            state.u,
-            params.sensitivity,
-            params.regularization,
-            dt,
-            rho_faces=rho_faces,
-        )
-        c1 = step_c(state.c, state.n, state.u, dt)
-        u1, P1, _ = ns_substep(state.u, n1, params.fluid, dt, solver)
-        total += energy_identity_residual(state.u, u1, n1, params.fluid, dt)
-        state = State(t=state.t + dt, n=n1, c=c1, u=u1, P=P1)
+        nxt = advance(state, params, dt, solver, rho_faces)
+        total += energy_identity_residual(state.u, nxt.u, nxt.n, params.fluid, dt)
+        state = nxt
     return total / steps
 
 

@@ -44,6 +44,18 @@ class TestPoincare:
         C_N = poincare_constant(g)
         assert C_N == pytest.approx(4.0 / np.pi**2, rel=0.01)
 
+    @pytest.mark.parametrize(
+        "extents, cells",
+        [((2.0, 1.0), (64, 32)), ((1.0, 1.0, 1.0), (32, 32, 32)), ((3.0, 1.0, 1.0), (48, 16, 16))],
+        ids=["2x1", "cube32", "3x1x1"],
+    )
+    def test_closed_form_of_longest_axis(self, extents, cells):
+        g = make_grid(len(cells), extents, cells)
+        longest = int(np.argmax(extents))
+        N, h = cells[longest], g.spacing[longest]
+        expected = 1.0 / ((4.0 / h**2) * np.sin(np.pi / (2 * N)) ** 2)
+        assert poincare_constant(g) == pytest.approx(expected, rel=1e-14)
+
     def test_refinement_monotone_toward_continuum(self):
         vals = []
         for N in (8, 16, 32):
@@ -330,5 +342,7 @@ class TestIntegratedDissipation:
         lib = scenario_library((16, 16))
         params, init = lib["bump_n"].build(0, T=0.005)
         traj = run(params, init)
-        assert traj.poisson_residuals.shape == traj.series.t.shape
-        assert np.all(traj.poisson_residuals >= 0)
+        res = traj.series.proj_residual
+        assert res.shape == traj.series.t.shape
+        assert res[0] == 0.0  # the initial row precedes any step
+        assert np.all(res[1:] > 0) and np.all(res <= 1e-10)

@@ -55,21 +55,33 @@ class TestPoissonSolver:
         assert resid <= solver.tol * np.sqrt(((b - b.mean()) ** 2).sum())
         assert abs(q.mean()) <= 1e-13 * np.abs(q).max()
 
-    def test_jacobi_variant_matches_contract(self, grid2d_small, rng):
-        solver = PoissonSolver(grid2d_small, preconditioner="jacobi")
-        b = rng.standard_normal(grid2d_small.shape)
+    @pytest.mark.parametrize(
+        "dim, cells",
+        [(2, (64, 64)), (2, (256, 256)), (3, (16, 16, 16))],
+        ids=["64x64", "256x256", "16x16x16"],
+    )
+    def test_direct_solve_residual_contract(self, dim, cells, rng):
+        grid = make_grid(dim, (1.0,) * dim, cells)
+        solver = PoissonSolver(grid)
+        b = rng.standard_normal(grid.shape)
         q = solver.solve(b)
-        lap_q = -solver.apply_neg_laplacian(q)
-        resid = np.sqrt(((lap_q - (b - b.mean())) ** 2).sum())
-        assert resid <= solver.tol * np.sqrt(((b - b.mean()) ** 2).sum())
-        assert solver.last_iterations > 10  # genuinely iterative
+        rhs = b - b.mean()
+        resid = np.sqrt(((-solver.apply_neg_laplacian(q) - rhs) ** 2).sum())
+        rel = resid / np.sqrt((rhs**2).sum())
+        assert rel <= 1e-13
+        assert solver.last_residual == pytest.approx(rel, rel=1e-6, abs=1e-16)
+        assert solver.last_iterations == 0
+        assert abs(q.mean()) <= 1e-13 * np.abs(q).max()
 
-    def test_failure_carries_residual(self, grid2d, rng):
-        solver = PoissonSolver(grid2d, preconditioner="jacobi", max_iter=2)
+    def test_nonfinite_rhs_raises(self, grid2d_small, rng):
+        solver = PoissonSolver(grid2d_small)
+        solver.solve(rng.standard_normal(grid2d_small.shape))
+        b = rng.standard_normal(grid2d_small.shape)
+        b[3, 5] = np.nan
         with pytest.raises(SolverFailure) as exc:
-            solver.solve(rng.standard_normal(grid2d.shape))
-        assert exc.value.residual > 0
-        assert exc.value.iterations == 2
+            solver.solve(b)
+        assert np.isnan(exc.value.residual)
+        assert np.isnan(solver.last_residual)
 
 
 class TestProjection:
