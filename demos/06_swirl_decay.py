@@ -2,8 +2,8 @@
 
 With the scalars homogeneous, the momentum equation is an unforced no-slip
 flow: the kinetic energy decays exponentially at twice the smallest
-eigenvalue of the projected operator, which an independent inverse power
-iteration supplies.
+eigenvalue of the projected operator, which an independent direct
+stream-function eigen-solve supplies.
 """
 
 from chemofluid.diagnostics import fit_decay_rate, stokes_eigenvalue

@@ -194,7 +194,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"line {line_of('run', 'sigma')}: sigma must lie in (0, 1]")
     if cfg.csv_every < 1 or cfg.snapshot_every < 0 or cfg.max_steps < 0:
         raise ConfigError("cadences must be positive (snapshot/max_steps may be 0 = off)")
-    make_grid(cfg.dim, cfg.extents, cfg.cells)  # validates grid numbers
+    try:
+        make_grid(cfg.dim, cfg.extents, cfg.cells)
+    except ValueError as exc:
+        raise ConfigError(f"line {line_of('grid', 'cells')}: [grid] {exc}")
     return cfg
 
 
@@ -234,7 +237,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def _build_run(cfg: RunConfig):
-    lib = scenario_library(cells=cfg.cells)
+    lib = scenario_library(grid=make_grid(cfg.dim, cfg.extents, cfg.cells))
     if cfg.scenario not in lib:
         raise ConfigError(
             f"unknown scenario {cfg.scenario!r}; built-ins: {sorted(lib)}"
@@ -486,7 +489,7 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", default="all", choices=sorted(verify.SUITES) + ["all"])
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--threads", type=int, default=1)
+    p_ver.add_argument("--threads", type=_positive_int, default=1)
     p_ver.add_argument(
         "--cells",
         type=lambda s: [int(v) for v in s.split(",")],

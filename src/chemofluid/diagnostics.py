@@ -26,20 +26,12 @@ from math import comb
 
 import numpy as np
 
-from .fluid import (
-    PoissonSolver,
-    dirichlet_energy,
-    laplacian_noslip,
-    neumann_eigenvalues,
-    project_with_potential,
-)
+from .fluid import PoissonSolver, _dirichlet_eigvals_normal, neumann_eigenvalues
 from .grid import (
     Grid,
     ScalarField,
     VectorField,
     gradient_cc,
-    vector_inner,
-    vector_l2_sq,
 )
 
 __all__ = [
@@ -342,15 +334,17 @@ class GradCNorms:
     l4_4: float
 
 
-def grad_c_norms(c: ScalarField) -> GradCNorms:
+def grad_c_norms(c: ScalarField, grad=None) -> GradCNorms:
     """Cell-aggregated ``int |grad c|^2`` and ``int |grad c|^4``.
 
     Wall faces carry no gradient information under the zero-flux convention,
     so boundary cells take the value of their single interior face and
-    interior cells the mean of their two faces.
+    interior cells the mean of their two faces.  ``grad`` may carry a
+    precomputed ``gradient_cc(c)``.
     """
     g = c.grid
-    grad = gradient_cc(c)
+    if grad is None:
+        grad = gradient_cc(c)
     mag2 = np.zeros(g.shape)
     for d in range(g.dim):
         f = grad.components[d].copy()
@@ -394,82 +388,59 @@ def steady_state_distance(state) -> SteadyStateDistance:
 # ---------------------------------------------------------------------------
 
 
-def _project(U: VectorField, solver: PoissonSolver) -> VectorField:
-    out, _, _ = project_with_potential(U, solver)
-    return out
+def stokes_eigenvalue(grid: Grid) -> float:
+    """Smallest eigenvalue of the discrete no-slip Stokes operator (2-D).
 
+    Every discretely divergence-free MAC field with zero normal wall flux is
+    the curl ``u = C psi`` of a nodal stream function with ``psi = 0`` on the
+    boundary nodes (``u_x = d psi/dy``, ``u_y = -d psi/dx``), whose flux-form
+    divergence vanishes identically.  The eigenvalue is therefore the
+    smallest ``lambda`` of the generalized SPD problem
+    ``C^T A C psi = lambda C^T C psi`` with ``A = -laplacian_noslip``.
 
-def stokes_eigenvalue(
-    grid: Grid, tol: float = 1e-5, max_power_iter: int = 40
-) -> float:
-    """Smallest eigenvalue of the projected no-slip operator ``-P Lap P``.
-
-    Inverse power iteration with a nested conjugate-gradient solve per step.
-    The inner residual is re-projected every iteration (the inexactly
-    projected operator is SPD only on the divergence-free subspace, and CG
-    would otherwise dig into projection noise), and the outer loop stops on
-    the Rayleigh quotient.  The velocity energy of an unforced flow decays
-    asymptotically at twice this value.
+    Both sides are known in closed form: ``C^T C`` is the Dirichlet 5-point
+    ``-Lap`` on the interior nodes, diagonal in the sine basis (DST-I), and
+    ``C^T A C`` is its square plus ``2/h^4`` on the nodes next to each wall
+    (``-laplacian_noslip`` mirrors the tangential velocity oddly at the walls,
+    the square of the Dirichlet Laplacian evenly).  In the sine basis that
+    wall term only couples modes of equal parity along each axis, so the
+    problem splits into four dense blocks of a quarter of the unknowns each,
+    solved directly; the cost is cubic in the block size, so this suits the
+    verification grids (up to 64^2) rather than production ones.
+    The velocity energy of an unforced flow decays
+    asymptotically at twice this value.  Raises ``ValueError`` outside 2-D.
     """
-    solver = PoissonSolver(grid, tol=1e-11)
-
-    def apply_A(V: VectorField) -> VectorField:
-        lap = laplacian_noslip(V)
-        neg = VectorField(grid, [-c for c in lap.components])
-        return _project(neg, solver)
-
-    def solve_A(b: VectorField, rel_tol: float = 1e-8, max_it: int = 400):
-        x = VectorField.zeros(grid)
-        r = b.copy()
-        p = r.copy()
-        rr = vector_inner(r, r)
-        rr_best = rr
-        x_best = x
-        b_norm = np.sqrt(vector_inner(b, b))
-        it = 0
-        while np.sqrt(rr) > rel_tol * b_norm and it < max_it:
-            Ap = apply_A(p)
-            pAp = vector_inner(p, Ap)
-            if pAp <= 0.0:
-                break  # left the SPD subspace: residual is projection noise
-            alpha = rr / pAp
-            x = VectorField(grid, [xc + alpha * pc for xc, pc in zip(x.components, p.components)])
-            r = VectorField(grid, [rc - alpha * ac for rc, ac in zip(r.components, Ap.components)])
-            r = _project(r, solver)
-            rr_new = vector_inner(r, r)
-            if rr_new < rr_best:
-                rr_best, x_best = rr_new, x
-            if rr_new > 1e6 * rr_best:
-                break  # genuine blowup at the projection-noise floor
-            p = VectorField(grid, [rc + (rr_new / rr) * pc for rc, pc in zip(r.components, p.components)])
-            rr = rr_new
-            it += 1
-        converged = np.sqrt(rr_best) <= rel_tol * b_norm
-        return x_best, converged
-
-    rng = np.random.default_rng(4321)
-    x = VectorField(grid, [rng.standard_normal(grid.face_shape(d)) for d in range(grid.dim)])
-    x = x.zero_wall_normal()
-    x = _project(x, solver)
-    norm = np.sqrt(vector_l2_sq(x))
-    x = VectorField(grid, [c / norm for c in x.components])
-    ray_prev = None
-    ray = None
-    for _ in range(max_power_iter):
-        y, inner_ok = solve_A(x)
-        ny = np.sqrt(vector_l2_sq(y))
-        if ny == 0.0:
-            break
-        x = VectorField(grid, [c / ny for c in y.components])
-        ray = dirichlet_energy(x) / vector_l2_sq(x)
-        if (
-            inner_ok
-            and ray_prev is not None
-            and abs(ray - ray_prev) <= tol * abs(ray)
-        ):
-            return ray
-        ray_prev = ray
-    raise RuntimeError(f"Stokes eigenvalue iteration stagnated at {ray}")
+    if grid.dim != 2:
+        raise ValueError(f"stokes_eigenvalue is implemented in 2-D only, got dim={grid.dim}")
+    axes = []
+    for N, h in zip(grid.cells, grid.spacing):
+        k = np.arange(1, N)
+        # orthonormal sine mode k at the first interior node; at the last node
+        # it is (-1)^(k+1) times this, so the 2/h^4 of the two walls adds up
+        # to 4/h^4 between modes of equal parity and cancels otherwise
+        first = np.sqrt(2.0 / N) * np.sin(k * np.pi / N)
+        axes.append((k % 2, _dirichlet_eigvals_normal(N, h), first, 4.0 / h**4))
+    (px, lx, bx, wx), (py, ly, by, wy) = axes
+    lowest = np.inf
+    for kx in (0, 1):
+        for ky in (0, 1):
+            mx, my = px == kx, py == ky
+            nx, ny = int(mx.sum()), int(my.sum())
+            # C^T C (diagonal d) and C^T A C of this parity block, built in
+            # place as K[i, j, k, l] over mode pairs (i, j) and (k, l)
+            d = lx[mx][:, None] + ly[my][None, :]
+            K = np.zeros((nx, ny, nx, ny))
+            i, j = np.arange(nx), np.arange(ny)
+            K[i, :, i, :] += wy * np.outer(by[my], by[my])
+            K[:, j, :, j] += wx * np.outer(bx[mx], bx[mx])
+            K[i[:, None], j, i[:, None], j] += d * d
+            # symmetric standard form d^(-1/2) K d^(-1/2)
+            scale = 1.0 / np.sqrt(d)
+            K *= scale[:, :, None, None]
+            K *= scale
+            K = K.reshape(nx * ny, nx * ny)
+            lowest = min(lowest, np.linalg.eigvalsh(K)[0])
+    return float(lowest)
 
 
 # ---------------------------------------------------------------------------

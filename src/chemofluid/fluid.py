@@ -249,9 +249,14 @@ def laplacian_noslip(U: VectorField) -> VectorField:
     return VectorField(g, out)
 
 
-def dirichlet_energy(U: VectorField) -> float:
-    """Discrete ``integral |grad u|^2`` as the no-slip Dirichlet form ``-<u, Lap u>``."""
-    return -vector_inner(U, laplacian_noslip(U))
+def dirichlet_energy(U: VectorField, lap=None) -> float:
+    """Discrete ``integral |grad u|^2`` as the no-slip Dirichlet form ``-<u, Lap u>``.
+
+    ``lap`` may carry a precomputed ``laplacian_noslip(U)``.
+    """
+    if lap is None:
+        lap = laplacian_noslip(U)
+    return -vector_inner(U, lap)
 
 
 def convection_upwind(A: VectorField, U: VectorField) -> VectorField:
@@ -383,13 +388,15 @@ def ns_substep(
     solver: PoissonSolver,
     forcing=None,
     t: float = 0.0,
+    lap_u=None,
 ):
     """One explicit momentum step followed by projection.
 
     Returns ``(u_next, P, proj_residual)`` where the pressure is the
     projection potential divided by ``dt``.  ``forcing``, when given, is a
     callable ``forcing(coords, t, component) -> array`` sampled at face
-    centers (manufactured-solution studies).
+    centers (manufactured-solution studies).  ``lap_u`` may carry a
+    precomputed ``laplacian_noslip(u)``.
     """
     g = u.grid
     if divergence_max(u) > _incompressibility_tolerance(u):
@@ -400,7 +407,7 @@ def ns_substep(
     if dt > visc_limit:
         raise ValueError(f"dt={dt} exceeds the explicit viscous stability limit {visc_limit}")
 
-    visc = laplacian_noslip(u)
+    visc = laplacian_noslip(u) if lap_u is None else lap_u
     comps = []
     if params.kappa != 0.0:
         a = yosida_apply(u, params.eps, solver)

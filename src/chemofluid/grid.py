@@ -17,6 +17,7 @@ velocities; both are realized by the face layout, never by ghost cells.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -49,7 +50,7 @@ class Grid:
     spacings; these are the only metric quantities any operator needs.
     """
 
-    __slots__ = ("dim", "extents", "cells", "spacing", "volume_element")
+    __slots__ = ("dim", "extents", "cells", "spacing", "volume_element", "_face_shapes")
 
     def __init__(self, dim: int, extents: tuple, cells: tuple):
         self.dim = dim
@@ -57,6 +58,10 @@ class Grid:
         self.cells = tuple(int(N) for N in cells)
         self.spacing = tuple(L / N for L, N in zip(self.extents, self.cells))
         self.volume_element = float(np.prod(self.spacing))
+        self._face_shapes = tuple(
+            self.cells[:d] + (self.cells[d] + 1,) + self.cells[d + 1 :]
+            for d in range(len(self.cells))
+        )
 
     @property
     def shape(self):
@@ -71,9 +76,7 @@ class Grid:
         return float(np.prod(self.extents))
 
     def face_shape(self, axis: int) -> tuple:
-        s = list(self.cells)
-        s[axis] += 1
-        return tuple(s)
+        return self._face_shapes[axis]
 
     def cell_coords(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]
@@ -238,10 +241,27 @@ class VectorField:
         return max(float(np.abs(c).max()) for c in self.components)
 
 
-def _interior(axis: int, dim: int):
-    sl = [slice(None)] * dim
-    sl[axis] = slice(1, -1)
-    return tuple(sl)
+@functools.lru_cache(maxsize=None)
+def _axis_slices(axis: int, dim: int):
+    """Index tuples ``(lo, hi, mid, first, last)`` along ``axis``.
+
+    ``lo``/``hi`` select ``[:-1]``/``[1:]`` (the two cells beside each
+    interior face, or the two faces bounding each cell), ``mid`` selects
+    ``[1:-1]`` (the interior faces) and ``first``/``last`` the wall slices.
+    """
+
+    def along(index):
+        sl = [slice(None)] * dim
+        sl[axis] = index
+        return tuple(sl)
+
+    return (
+        along(slice(None, -1)),
+        along(slice(1, None)),
+        along(slice(1, -1)),
+        along(0),
+        along(-1),
+    )
 
 
 def gradient_cc(f: ScalarField) -> VectorField:
@@ -254,8 +274,11 @@ def gradient_cc(f: ScalarField) -> VectorField:
     g = f.grid
     comps = []
     for d in range(g.dim):
+        lo, hi, mid, _, _ = _axis_slices(d, g.dim)
         out = np.zeros(g.face_shape(d))
-        out[_interior(d, g.dim)] = np.diff(f.data, axis=d) / g.spacing[d]
+        inner = out[mid]
+        np.subtract(f.data[hi], f.data[lo], out=inner)
+        inner /= g.spacing[d]
         comps.append(out)
     return VectorField(g, comps)
 
@@ -264,8 +287,13 @@ def divergence_fc(F: VectorField) -> ScalarField:
     """Cell-centered divergence of a face field (telescoping flux form)."""
     g = F.grid
     out = np.zeros(g.shape)
+    term = np.empty(g.shape)
     for d in range(g.dim):
-        out += np.diff(F.components[d], axis=d) / g.spacing[d]
+        lo, hi, _, _, _ = _axis_slices(d, g.dim)
+        comp = F.components[d]
+        np.subtract(comp[hi], comp[lo], out=term)
+        term /= g.spacing[d]
+        out += term
     return ScalarField(g, out)
 
 
@@ -306,19 +334,11 @@ def cells_to_faces(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     Wall faces receive the adjacent cell value; callers that need zero-flux
     walls zero them afterwards.
     """
+    lo, hi, mid, first, last = _axis_slices(axis, grid.dim)
     out = np.empty(grid.face_shape(axis))
-    lo = [slice(None)] * grid.dim
-    hi = [slice(None)] * grid.dim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    mid = [slice(None)] * grid.dim
-    mid[axis] = slice(1, -1)
-    out[tuple(mid)] = 0.5 * (data[tuple(lo)] + data[tuple(hi)])
-    first = [slice(None)] * grid.dim
-    first[axis] = 0
-    out[tuple(first)] = np.take(data, 0, axis=axis)
-    first[axis] = -1
-    out[tuple(first)] = np.take(data, -1, axis=axis)
+    out[mid] = 0.5 * (data[lo] + data[hi])
+    out[first] = data[first]
+    out[last] = data[last]
     return out
 
 
@@ -350,16 +370,9 @@ def upwind_cells_to_faces(
     the lower-index cell.  Wall faces return 0 (their fluxes are zeroed by
     every caller).
     """
+    lo, hi, mid, _, _ = _axis_slices(axis, grid.dim)
     out = np.zeros(grid.face_shape(axis))
-    lo = [slice(None)] * grid.dim
-    hi = [slice(None)] * grid.dim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    mid = [slice(None)] * grid.dim
-    mid[axis] = slice(1, -1)
-    out[tuple(mid)] = np.where(
-        carrier[tuple(mid)] > 0.0, data[tuple(lo)], data[tuple(hi)]
-    )
+    out[mid] = np.where(carrier[mid] > 0.0, data[lo], data[hi])
     return out
 
 

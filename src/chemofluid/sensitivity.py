@@ -211,13 +211,15 @@ def _face_drift_components(
     spec: SensitivitySpec,
     reg: RegularizationParams,
     rho_faces=None,
+    grad_c=None,
 ):
     """Per-face drift velocity ``f_eps(n~) S_eps grad(c)`` and upwind density.
 
     Returns ``(n_up, drift)`` lists indexed by face orientation.  The upwind
     side is chosen from the sign of the drift direction; the density scalars
     ``(1+n)**(-alpha)`` and ``f_eps`` are positive, so the direction can be
-    fixed before the upwind value is known.
+    fixed before the upwind value is known.  ``grad_c`` may carry a
+    precomputed ``gradient_cc(c)``.
     """
     g = n.grid
     if c.grid != g:
@@ -226,7 +228,8 @@ def _face_drift_components(
         raise ValueError("chemotactic flux requires n >= 0")
     if rho_faces is None:
         rho_faces = rho_on_faces(g, reg)
-    grad_c = gradient_cc(c)
+    if grad_c is None:
+        grad_c = gradient_cc(c)
 
     if spec.kind == "rotational":
         R = rotation_matrix(g.dim, spec.theta)

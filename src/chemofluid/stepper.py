@@ -15,8 +15,15 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import diagnostics
-from .fluid import FluidParams, PoissonSolver, SolverFailure, helmholtz_project, ns_substep
-from .grid import Grid, ScalarField, VectorField, integrate, l2_sq, vector_l2_sq
+from .fluid import (
+    FluidParams,
+    PoissonSolver,
+    SolverFailure,
+    helmholtz_project,
+    laplacian_noslip,
+    ns_substep,
+)
+from .grid import Grid, ScalarField, VectorField, gradient_cc, integrate, vector_l2_sq
 from .sensitivity import (
     RegularizationParams,
     SensitivitySpec,
@@ -106,7 +113,7 @@ class State:
             raise PositivityError("state has negative c", cmin)
 
 
-def _cfl_parts(state: State, params: SimParams, drift=None, rho_faces=None):
+def _cfl_parts(state: State, params: SimParams, drift=None, rho_faces=None, grad_c=None):
     g = params.grid
     hmin = min(g.spacing)
     diff = hmin**2 / (2.0 * g.dim)
@@ -114,7 +121,7 @@ def _cfl_parts(state: State, params: SimParams, drift=None, rho_faces=None):
     adv = hmin / umax if umax > 0 else np.inf
     if drift is None:
         drift = _face_drift_components(
-            state.n, state.c, params.sensitivity, params.regularization, rho_faces
+            state.n, state.c, params.sensitivity, params.regularization, rho_faces, grad_c
         )
     vmax = max(float(np.abs(v).max()) for v in drift[1])
     chemo = hmin / vmax if vmax > 0 else np.inf
@@ -142,8 +149,16 @@ def advance(
     solver: PoissonSolver = None,
     rho_faces=None,
     drift=None,
+    grad_n=None,
+    grad_c=None,
+    lap_u=None,
 ) -> State:
-    """One coupled step of size dt (caller guarantees dt <= cfl_dt)."""
+    """One coupled step of size dt (caller guarantees dt <= cfl_dt).
+
+    ``grad_n``, ``grad_c`` and ``lap_u`` may carry the state's precomputed
+    ``gradient_cc(n)``, ``gradient_cc(c)`` and ``laplacian_noslip(u)``; each
+    is dropped after its last use.
+    """
     if solver is None:
         solver = PoissonSolver(params.grid)
     if rho_faces is None:
@@ -160,10 +175,13 @@ def advance(
         drift=drift,
         forcing=params.forcing_n,
         t=t,
+        grad_n=grad_n,
     )
-    c1 = step_c(state.c, state.n, state.u, dt, forcing=params.forcing_c, t=t)
+    grad_n = None
+    c1 = step_c(state.c, state.n, state.u, dt, forcing=params.forcing_c, t=t, grad_c=grad_c)
+    grad_c = None
     u1, P1, _ = ns_substep(
-        state.u, n1, params.fluid, dt, solver, forcing=params.forcing_u, t=t
+        state.u, n1, params.fluid, dt, solver, forcing=params.forcing_u, t=t, lap_u=lap_u
     )
     out = State(t=t + dt, n=n1, c=c1, u=u1, P=P1)
     out.validate()
@@ -199,6 +217,11 @@ class _SeriesBuilder:
         self.rows = {k: [] for k in diagnostics.CSV_COLUMNS}
 
     def record(self, state: State, nbar0, alpha, lyap_B, dt, proj_residual):
+        """Append one row; return the state's ``(grad_n, grad_c, lap_u)``,
+        computed once here, for the next step to reuse."""
+        grad_n = gradient_cc(state.n)
+        grad_c = gradient_cc(state.c)
+        lap_u = laplacian_noslip(state.u)
         g = state.n.grid
         vol = g.volume_element
         r = self.rows
@@ -212,11 +235,11 @@ class _SeriesBuilder:
         r["l2_n_dev"].append(l2n)
         r["l2_c_dev"].append(l2c)
         r["l2_u"].append(vector_l2_sq(state.u))
-        gnorms = diagnostics.grad_c_norms(state.c)
+        gnorms = diagnostics.grad_c_norms(state.c, grad_c)
         r["grad_c_l2"].append(gnorms.l2_sq)
         r["grad_c_l4"].append(gnorms.l4_4)
         r["lyapunov"].append(0.5 * lyap_B * l2n + 0.5 * l2c)
-        diss = dissipation_integrals(state.n, state.c, state.u, alpha)
+        diss = dissipation_integrals(state.n, state.c, state.u, alpha, grad_n, grad_c, lap_u)
         r["D_n"].append(diss.D_n)
         r["D_c"].append(diss.D_c)
         r["D_u"].append(diss.D_u)
@@ -225,6 +248,7 @@ class _SeriesBuilder:
         r["u_inf"].append(state.u.max_abs())
         r["dt"].append(dt)
         r["proj_residual"].append(proj_residual)
+        return grad_n, grad_c, lap_u
 
     def build(self):
         return diagnostics.DiagnosticsSeries(
@@ -236,8 +260,9 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
     """Advance the system to T (or max_steps), recording diagnostics.
 
     The initial velocity is projected once so a non-solenoidal input becomes
-    admissible.  Any substep failure ends the run with status "aborted" and
-    the partial trajectory retained.
+    admissible.  Any substep failure, a step guard's ``ValueError`` included,
+    ends the run with status "aborted", an error prefixed ``step k:`` and the
+    partial trajectory retained.
     """
     g = params.grid
     if solver is None:
@@ -256,7 +281,7 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
 
     rho_faces = rho_on_faces(g, params.regularization)
     builder = _SeriesBuilder()
-    builder.record(state, nbar0, params.sensitivity.alpha, lyap_B, 0.0, 0.0)
+    derivs = builder.record(state, nbar0, params.sensitivity.alpha, lyap_B, 0.0, 0.0)
     snapshots = [(0, state)]
 
     forced = (
@@ -271,31 +296,54 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
     max_steps = params.max_steps if params.max_steps is not None else np.inf
     try:
         while state.t < params.T - 1e-14 and step < max_steps:
-            dt, drift = _cfl_parts(state, params, rho_faces=rho_faces)
+            # (grad_n, grad_c, lap_u) of the state: from its recorded row, else
+            # one grad_c that feeds both the drift and step_c
+            derivs = list(derivs or (None, gradient_cc(state.c), None))
+            dt, drift = _cfl_parts(state, params, rho_faces=rho_faces, grad_c=derivs[1])
             dt = min(dt, params.T - state.t)
-            state = advance(state, params, dt, solver, rho_faces, drift)
+            # popped into the call so that advance holds the only references
+            # and frees each derivative after its last use
+            state = advance(
+                state,
+                params,
+                dt,
+                solver,
+                rho_faces,
+                drift,
+                lap_u=derivs.pop(),
+                grad_c=derivs.pop(),
+                grad_n=derivs.pop(),
+            )
+            derivs = None
             step += 1
             if not forced:
                 mass_n = integrate(state.n)
                 if abs(mass_n - mass_n0) > 1e-10 * max(abs(mass_n0), 1.0):
-                    raise SimulationAbort(
-                        f"mass of n drifted by {mass_n - mass_n0:.3e} at step {step}"
-                    )
+                    raise SimulationAbort(f"mass of n drifted by {mass_n - mass_n0:.3e}")
                 mass_c = integrate(state.c)
                 if mass_c > c_mass_bound + 1e-10 * max(c_mass_bound, 1.0):
                     raise SimulationAbort(
-                        f"c mass {mass_c:.6e} exceeded bound {c_mass_bound:.6e} at step {step}"
+                        f"c mass {mass_c:.6e} exceeded bound {c_mass_bound:.6e}"
                     )
             if step % params.diagnostics_every == 0 or state.t >= params.T - 1e-14:
-                builder.record(
+                derivs = builder.record(
                     state, nbar0, params.sensitivity.alpha, lyap_B, dt, solver.last_residual
                 )
             if params.snapshot_every and (
                 step % params.snapshot_every == 0 or state.t >= params.T - 1e-14
             ):
                 snapshots.append((step, state))
-    except (PositivityError, SolverFailure, FloatingPointError, SimulationAbort) as exc:
-        status, error = "aborted", f"{type(exc).__name__}: {exc}"
+    except (
+        PositivityError,
+        SolverFailure,
+        FloatingPointError,
+        SimulationAbort,
+        ValueError,
+    ) as exc:
+        # SimulationAbort judges the step just counted; the rest fail inside
+        # the step in progress
+        failed = step if isinstance(exc, SimulationAbort) else step + 1
+        status, error = "aborted", f"step {failed}: {type(exc).__name__}: {exc}"
 
     if snapshots[-1][1] is not state:
         snapshots.append((step, state))

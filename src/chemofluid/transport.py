@@ -110,11 +110,13 @@ def step_n(
     drift=None,
     forcing=None,
     t: float = 0.0,
+    grad_n=None,
 ) -> ScalarField:
     """Advance n by diffusion, chemotaxis, and advection in flux form.
 
     ``drift`` may carry precomputed ``(n_up, drift)`` face states from the
-    CFL evaluation to avoid recomputing the chemotactic velocity.  ``forcing``
+    CFL evaluation to avoid recomputing the chemotactic velocity, and
+    ``grad_n`` a precomputed ``gradient_cc(n)``.  ``forcing``
     (manufactured solutions) adds ``dt * f(coords, t)`` and intentionally
     breaks mass conservation.
     """
@@ -129,7 +131,7 @@ def step_n(
         drift = _face_drift_components(n, c, spec, reg, rho_faces)
     n_up, vel = drift
 
-    flux = gradient_cc(n)
+    flux = gradient_cc(n) if grad_n is None else grad_n
     adv = advective_flux(n, u)
     comps = [
         flux.components[d] - n_up[d] * vel[d] - adv.components[d] for d in range(g.dim)
@@ -154,15 +156,19 @@ def step_c(
     dt: float,
     forcing=None,
     t: float = 0.0,
+    grad_c=None,
 ) -> ScalarField:
-    """Advance c by diffusion, advection, decay, and production by n."""
+    """Advance c by diffusion, advection, decay, and production by n.
+
+    ``grad_c`` may carry a precomputed ``gradient_cc(c)``.
+    """
     g = c.grid
     if dt > _hard_diffusion_limit(g):
         raise ValueError(f"dt={dt} exceeds the diffusion stability limit")
     if dt >= 1.0:
         raise ValueError(f"dt={dt} violates the reaction stability bound dt < 1")
 
-    flux = gradient_cc(c)
+    flux = gradient_cc(c) if grad_c is None else grad_c
     adv = advective_flux(c, u)
     comps = [flux.components[d] - adv.components[d] for d in range(g.dim)]
     div = divergence_fc(VectorField(g, comps))
@@ -182,7 +188,13 @@ class DissipationRecord:
 
 
 def dissipation_integrals(
-    n: ScalarField, c: ScalarField, u: VectorField, alpha: float
+    n: ScalarField,
+    c: ScalarField,
+    u: VectorField,
+    alpha: float,
+    grad_n=None,
+    grad_c=None,
+    lap_u=None,
 ) -> DissipationRecord:
     """Quadratic gradient functionals driving the decay estimates.
 
@@ -190,11 +202,13 @@ def dissipation_integrals(
     to ``2*alpha - 2`` (the exponent vanishes at alpha = 1, where the weight
     is identically one, including at n = 0).  ``D_c`` is the plain face
     Dirichlet sum and ``D_u`` the no-slip Dirichlet form of the velocity.
+    ``grad_n``, ``grad_c`` and ``lap_u`` may carry the precomputed
+    ``gradient_cc(n)``, ``gradient_cc(c)`` and ``laplacian_noslip(u)``.
     """
     g = n.grid
     vol = g.volume_element
     expo = 2.0 * alpha - 2.0
-    gn = gradient_cc(n)
+    gn = gradient_cc(n) if grad_n is None else grad_n
     D_n = 0.0
     for d in range(g.dim):
         gd = gn.components[d]
@@ -207,7 +221,7 @@ def dissipation_integrals(
             w = n_face**expo
         D_n += float((w * gd * gd).sum())
     D_n *= vol
-    gc = gradient_cc(c)
+    gc = gradient_cc(c) if grad_c is None else grad_c
     D_c = sum(float((comp * comp).sum()) for comp in gc.components) * vol
-    D_u = dirichlet_energy(u)
+    D_u = dirichlet_energy(u, lap_u)
     return DissipationRecord(D_n=D_n, D_c=D_c, D_u=max(D_u, 0.0))

@@ -277,9 +277,12 @@ def _assert_positive(traj: Trajectory) -> AssertionResult:
 # ---------------------------------------------------------------------------
 
 
-def scenario_library(cells=(64, 64)) -> dict:
-    """Built-in scenarios on the unit square (cells configurable for speed)."""
-    grid = make_grid(2, (1.0,) * len(cells), cells)
+def scenario_library(cells=(64, 64), grid: Grid = None) -> dict:
+    """Built-in scenarios on ``grid``, by default the unit square or cube
+    with ``cells`` (configurable for speed).  Every recipe is
+    dimension-generic."""
+    if grid is None:
+        grid = make_grid(len(cells), (1.0,) * len(cells), cells)
     C_N = poincare_constant(grid)
     lib = {}
 
@@ -423,7 +426,7 @@ def scenario_library(cells=(64, 64)) -> dict:
     )
 
     for name, sc in lib.items():
-        sc.key = (name, cells)
+        sc.key = (name, grid)
     return lib
 
 

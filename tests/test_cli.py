@@ -139,6 +139,44 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_grid_shape_error_exit_code(self, tmp_path, capsys):
+        body = MINIMAL.replace("dim = 2", "dim = 3")
+        assert main(["run", "--config", self._write_cfg(tmp_path, body)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "length dim=3" in err
+
+    def test_anisotropic_grid_honoured(self, tmp_path, capsys):
+        body = MINIMAL.replace("cells = 24,24", "cells = 16,8").replace(
+            "extents = 1.0,1.0", "extents = 2.0,1.0"
+        )
+        body = body.replace("scenario = bump_n", "scenario = bump_n\nsnapshot_every = 10")
+        out = tmp_path / "aniso"
+        assert main(["run", "--config", self._write_cfg(tmp_path, body), "--out", str(out)]) == 0
+        echo = dict(
+            line.split(" = ", 1) for line in capsys.readouterr().out.splitlines() if " = " in line
+        )
+        # closed form for the 2 x 1 box: the long axis, h = 1/8, N = 16
+        closed = 1.0 / ((4.0 / 0.125**2) * np.sin(np.pi / 32) ** 2)
+        assert float(echo["C_N"]) == pytest.approx(closed, rel=1e-14)
+        assert float(echo["C_N"]) == pytest.approx(0.40659, abs=5e-6)
+        from chemofluid.grid import read_field_snapshot
+
+        data, extents = read_field_snapshot(sorted(out.glob("n_*.kssf"))[0])
+        assert data.shape == (16, 8) and extents == (2.0, 1.0)
+
+    def test_three_d_bump_conserves_mass(self, tmp_path):
+        body = (
+            MINIMAL.replace("dim = 2", "dim = 3")
+            .replace("cells = 24,24", "cells = 8,8,8")
+            .replace("extents = 1.0,1.0", "extents = 1.0,1.0,1.0")
+        )
+        out = tmp_path / "cube"
+        assert main(["run", "--config", self._write_cfg(tmp_path, body), "--out", str(out)]) == 0
+        data = read_csv(out / "series.csv")
+        assert len(data["t"]) > 2 and data["t"][-1] == pytest.approx(0.004)
+        mass = data["mass_n"]
+        assert np.abs(mass - mass[0]).max() <= 1e-14 * mass[0]
+
 
 class TestPoincareCommand:
     def test_unit_square(self, capsys):
@@ -187,6 +225,13 @@ class TestMmsCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_must_be_positive(self, threads, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "ladder", "--threads", threads])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_ladder_suite_small_grid(self, capsys):
         rc = main(["verify", "--suite", "ladder", "--cells", "16,16"])
         out = capsys.readouterr().out

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chemofluid.diagnostics import (
     LyapunovConfig,
@@ -16,9 +17,10 @@ from chemofluid.diagnostics import (
     make_lyapunov_config,
     poincare_constant,
     steady_state_distance,
+    stokes_eigenvalue,
     weak_residual,
 )
-from chemofluid.fluid import FluidParams
+from chemofluid.fluid import FluidParams, divergence_max, laplacian_noslip
 from chemofluid.grid import ScalarField, VectorField, make_grid
 from chemofluid.sensitivity import RegularizationParams, SensitivitySpec
 from chemofluid.stepper import SimParams, State, run
@@ -67,6 +69,38 @@ class TestPoincare:
         errs = [v - 1.0 / np.pi**2 for v in vals]
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
+
+
+class TestStokesEigenvalue:
+    def test_richardson_matches_literature(self):
+        # 13.0862 on [-1, 1]^2 (Leriche & Labrosse) is 52.3447 on the unit square
+        lam = [stokes_eigenvalue(make_grid(2, (1.0, 1.0), (N, N))) for N in (32, 64)]
+        assert abs((4.0 * lam[1] - lam[0]) / 3.0 - 52.3447) <= 1e-3
+
+    @pytest.mark.parametrize(
+        "extents, cells", [((1.0, 0.6), (12, 9)), ((1.0, 3.0), (5, 14))], ids=["12x9", "5x14"]
+    )
+    def test_matches_mac_kernel_oracle(self, extents, cells):
+        # oracle: the generalized problem assembled column by column from the
+        # MAC kernels themselves, u = curl(psi) for each nodal unit psi
+        g = make_grid(2, extents, cells)
+        (Nx, Ny), (hx, hy) = cells, g.spacing
+        curls, energies = [], []
+        for node in range((Nx - 1) * (Ny - 1)):
+            psi = np.zeros((Nx + 1, Ny + 1))
+            psi[1:-1, 1:-1].flat[node] = 1.0
+            U = VectorField(g, [np.diff(psi, axis=1) / hy, -np.diff(psi, axis=0) / hx])
+            assert divergence_max(U) <= 1e-12 / (hx * hy)
+            curls.append(np.concatenate([c.ravel() for c in U.components]))
+            lap = laplacian_noslip(U)
+            energies.append(np.concatenate([-c.ravel() for c in lap.components]))
+        C, AC = np.array(curls).T, np.array(energies).T
+        oracle = scipy.linalg.eigh(C.T @ AC, C.T @ C, eigvals_only=True)[0]
+        assert stokes_eigenvalue(g) == pytest.approx(oracle, rel=1e-12)
+
+    def test_three_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="2-D only"):
+            stokes_eigenvalue(make_grid(3, (1.0, 1.0, 1.0), (8, 8, 8)))
 
 
 class TestLyapunovConfig:

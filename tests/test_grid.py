@@ -7,12 +7,14 @@ import scipy.sparse as sps
 from chemofluid.grid import (
     ScalarField,
     VectorField,
+    cells_to_faces,
     divergence_fc,
     gradient_cc,
     integrate,
     laplacian_neumann,
     make_grid,
     read_field_snapshot,
+    upwind_cells_to_faces,
     vector_inner,
     write_field_snapshot,
 )
@@ -103,6 +105,54 @@ class TestDivergence:
         oracle = (L @ f.data.reshape(-1)).reshape(g.shape)
         scale = np.abs(oracle).max()
         assert np.abs(ours - oracle).max() <= 1e-13 * scale
+
+
+ANISOTROPIC = [
+    pytest.param((2.0, 0.7), (12, 7), id="2d"),
+    pytest.param((1.0, 2.0, 0.5), (6, 5, 4), id="3d"),
+]
+
+
+class TestKernelsBitEqualToDiff:
+    """The slice-and-subtract kernels reproduce the ``np.diff`` expressions bit for bit."""
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).tobytes()
+
+    @pytest.mark.parametrize("extents, cells", ANISOTROPIC)
+    def test_gradient_and_divergence(self, extents, cells, rng):
+        g = make_grid(len(cells), extents, cells)
+        f = random_scalar(g, rng)
+        F = random_vector(g, rng)
+        F.components[0][1] = -0.0  # signed zeros must survive too
+        G = gradient_cc(f)
+        div_ref = np.zeros(g.shape)
+        for d in range(g.dim):
+            assert g.face_shape(d) == tuple(N + (e == d) for e, N in enumerate(cells))
+            ref = np.zeros(g.face_shape(d))
+            interior = [slice(None)] * g.dim
+            interior[d] = slice(1, -1)
+            ref[tuple(interior)] = np.diff(f.data, axis=d) / g.spacing[d]
+            assert self._bits(G.components[d]) == self._bits(ref)
+            div_ref += np.diff(F.components[d], axis=d) / g.spacing[d]
+        assert self._bits(divergence_fc(F).data) == self._bits(div_ref)
+
+    @pytest.mark.parametrize("extents, cells", ANISOTROPIC)
+    def test_face_interpolations(self, extents, cells, rng):
+        g = make_grid(len(cells), extents, cells)
+        data = rng.standard_normal(g.shape)
+        for d in range(g.dim):
+            carrier = rng.standard_normal(g.face_shape(d))
+            lo = np.moveaxis(data, d, 0)[:-1]
+            hi = np.moveaxis(data, d, 0)[1:]
+            mean = np.concatenate([lo[:1], 0.5 * (lo + hi), hi[-1:]])
+            assert self._bits(cells_to_faces(data, g, d)) == self._bits(np.moveaxis(mean, 0, d))
+            c_mid = np.moveaxis(carrier, d, 0)[1:-1]
+            up = np.zeros(np.moveaxis(carrier, d, 0).shape)
+            up[1:-1] = np.where(c_mid > 0.0, lo, hi)
+            got = upwind_cells_to_faces(data, g, d, carrier)
+            assert self._bits(got) == self._bits(np.moveaxis(up, 0, d))
 
 
 class TestLaplacian:

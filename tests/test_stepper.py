@@ -5,11 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chemofluid.fluid import FluidParams, PoissonSolver
+from chemofluid.diagnostics import grad_c_norms
+from chemofluid.fluid import FluidParams, PoissonSolver, SolverFailure, helmholtz_project
 from chemofluid.grid import ScalarField, VectorField, make_grid
-from chemofluid.sensitivity import RegularizationParams, SensitivitySpec
+from chemofluid.sensitivity import RegularizationParams, SensitivitySpec, rho_on_faces
 from chemofluid.stepper import SimParams, State, advance, cfl_dt, run
-from chemofluid.verify import default_phi, random_smooth_field, swirl_velocity
+from chemofluid.transport import dissipation_integrals
+from chemofluid.verify import (
+    default_phi,
+    random_smooth_field,
+    scenario_library,
+    swirl_velocity,
+)
 
 
 def make_params(grid, C_S=0.5, kappa=1.0, eps=0.1, T=0.01, **kw):
@@ -149,3 +156,58 @@ class TestRun:
         assert traj.status == "aborted"
         assert traj.error
         assert len(traj.series) >= 1
+
+    def test_solver_failure_names_its_step(self, grid2d):
+        class FailingSolver(PoissonSolver):
+            def solve(self, b, abs_target=None):
+                raise SolverFailure("forced failure", float("nan"))
+
+        # u0 = 0 skips the initial projection: the first solve is in step 1
+        params = make_params(grid2d, T=1.0)
+        traj = run(params, State.homogeneous(grid2d, 1.0), solver=FailingSolver(grid2d))
+        assert traj.status == "aborted"
+        assert traj.error.startswith("step 1: SolverFailure: forced failure")
+        assert traj.steps == 0 and len(traj.series) == 1
+
+    def test_step_guard_value_error_aborts_with_step(self, grid2d):
+        def guarded_forcing(coords, t):
+            if t > 0.0:
+                raise ValueError("forcing guard tripped")
+            return np.zeros(grid2d.shape)
+
+        params = dataclasses.replace(make_params(grid2d, T=1.0), forcing_c=guarded_forcing)
+        traj = run(params, State.homogeneous(grid2d, 1.0))
+        assert traj.status == "aborted"
+        assert traj.error == "step 2: ValueError: forcing guard tripped"
+        assert traj.steps == 1 and len(traj.series) == 2
+
+
+class TestSharedDerivatives:
+    def test_series_equal_to_unshared_stepping(self):
+        """A recorded row's derivatives feed the next step without changing a bit."""
+        lib = scenario_library((32, 32))
+        params, initial = lib["random_perturbation"].build(0)
+        params = dataclasses.replace(params, max_steps=20)
+        traj = run(params, initial)
+        assert traj.completed and traj.steps == 20
+
+        g = params.grid
+        solver = PoissonSolver(g)
+        rho_faces = rho_on_faces(g, params.regularization)
+        state = dataclasses.replace(initial, u=helmholtz_project(initial.u, solver))
+        rows = []
+        for k in range(21):
+            if k:
+                dt = min(cfl_dt(state, params), params.T - state.t)
+                state = advance(state, params, dt, solver, rho_faces)
+            norms = grad_c_norms(state.c)
+            diss = dissipation_integrals(state.n, state.c, state.u, params.sensitivity.alpha)
+            rows.append((state.t, norms.l2_sq, norms.l4_4, diss.D_n, diss.D_c, diss.D_u))
+        s = traj.series
+        for j, col in enumerate(("t", "grad_c_l2", "grad_c_l4", "D_n", "D_c", "D_u")):
+            assert np.array_equal(s.column(col), [r[j] for r in rows]), col
+        final = traj.final_state()
+        assert np.array_equal(final.n.data, state.n.data)
+        assert np.array_equal(final.c.data, state.c.data)
+        for a, b in zip(final.u.components, state.u.components):
+            assert np.array_equal(a, b)
