@@ -31,17 +31,23 @@ from .grid import make_grid, write_field_snapshot
 from .stepper import Trajectory, run
 from .verify import scenario_library
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config", "main"]
+__all__ = ["ConfigError", "UsageError", "RunConfig", "parse_config", "serialize_config", "main"]
 
 
 class ConfigError(ValueError):
     """Config validation failure with position information."""
 
 
+class UsageError(ValueError):
+    """A command-line input the command cannot use."""
+
+
 # ---------------------------------------------------------------------------
 # Config schema
 # ---------------------------------------------------------------------------
 
+# section -> key -> (value kind, default); a None default marks a required
+# key.  The key order is RunConfig's field order and the serialized order.
 _SCHEMA = {
     "grid": {
         "dim": (int, None),
@@ -68,9 +74,6 @@ _SCHEMA = {
         "out": (str, ""),
     },
 }
-
-_REQUIRED = {("grid", "dim"), ("grid", "cells"), ("grid", "extents"), ("run", "T"), ("run", "scenario")}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -140,38 +143,19 @@ def parse_config(text: str) -> RunConfig:
         kind, _ = _SCHEMA[section][key]
         values[(section, key)] = (_parse_value(kind, raw, f"line {lineno}"), lineno)
 
-    for sec, key in _REQUIRED:
-        if (sec, key) not in values:
-            raise ConfigError(f"missing required key {key!r} in section [{sec}]")
-
-    def get(sec, key):
-        if (sec, key) in values:
-            return values[(sec, key)][0]
-        return _SCHEMA[sec][key][1]
+    effective = {}
+    for sec, keys in _SCHEMA.items():
+        for key, (_, default) in keys.items():
+            if (sec, key) in values:
+                effective[key] = values[(sec, key)][0]
+            elif default is None:
+                raise ConfigError(f"missing required key {key!r} in section [{sec}]")
+            else:
+                effective[key] = default
+    cfg = RunConfig(**effective)
 
     def line_of(sec, key):
         return values[(sec, key)][1] if (sec, key) in values else 0
-
-    cfg = RunConfig(
-        dim=get("grid", "dim"),
-        cells=get("grid", "cells"),
-        extents=get("grid", "extents"),
-        alpha=get("model", "alpha"),
-        cs=get("model", "cs"),
-        kind=get("model", "kind"),
-        theta=get("model", "theta"),
-        kappa=get("model", "kappa"),
-        eps=get("model", "eps"),
-        phi_strength=get("model", "phi_strength"),
-        T=get("run", "T"),
-        scenario=get("run", "scenario"),
-        sigma=get("run", "sigma"),
-        seed=get("run", "seed"),
-        csv_every=get("run", "csv_every"),
-        snapshot_every=get("run", "snapshot_every"),
-        max_steps=get("run", "max_steps"),
-        out=get("run", "out"),
-    )
 
     # range validation, citing the offending line where one exists
     if cfg.alpha < 1.0:
@@ -203,22 +187,8 @@ def parse_config(text: str) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(parse(t))) == parse(t)."""
-    by_section = {
-        "grid": ["dim", "cells", "extents"],
-        "model": ["alpha", "cs", "kind", "theta", "kappa", "eps", "phi_strength"],
-        "run": [
-            "T",
-            "scenario",
-            "sigma",
-            "seed",
-            "csv_every",
-            "snapshot_every",
-            "max_steps",
-            "out",
-        ],
-    }
     out = []
-    for sec, keys in by_section.items():
+    for sec, keys in _SCHEMA.items():
         out.append(f"[{sec}]")
         for key in keys:
             val = getattr(cfg, key)
@@ -308,10 +278,29 @@ def write_csv(path: str, traj: Trajectory) -> None:
 
 def read_csv(path: str):
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = {h: np.array([float(r[i]) for r in rows]) for i, h in enumerate(header)}
-    return data
+        return _parse_csv(fh.read())
+
+
+def _parse_csv(text: str) -> dict:
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    header = lines[0].split(",") if lines else []
+    rows = [line.split(",") for line in lines[1:]]
+    return {h: np.array([float(r[i]) for r in rows]) for i, h in enumerate(header)}
+
+
+def _read_input(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path!r}: {exc.strerror}") from None
+
+
+def _usable_grid(dim, extents, cells):
+    try:
+        return make_grid(dim, extents, cells)
+    except ValueError as exc:
+        raise UsageError(f"grid: {exc}") from None
 
 
 def _write_snapshots(outdir: str, traj: Trajectory) -> None:
@@ -333,8 +322,7 @@ def _write_snapshots(outdir: str, traj: Trajectory) -> None:
 
 
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        cfg = parse_config(fh.read())
+    cfg = parse_config(_read_input(args.config))
     if args.seed is not None:
         import dataclasses
 
@@ -384,6 +372,7 @@ def _report_lines(reports) -> tuple:
 def _cmd_verify(args) -> int:
     suites = [args.suite] if args.suite != "all" else list(verify.SUITES)
     cells = tuple(args.cells)
+    _usable_grid(len(cells), (1.0,) * len(cells), cells)  # the suites' unit box
     reports = []
     if args.threads > 1 and len(suites) > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as ex:
@@ -403,14 +392,14 @@ def _cmd_verify(args) -> int:
 def _cmd_poincare(args) -> int:
     cells = args.cells if len(args.cells) > 1 else args.cells * args.dim
     extents = args.extents if len(args.extents) > 1 else args.extents * args.dim
-    grid = make_grid(args.dim, extents, cells)
+    grid = _usable_grid(args.dim, extents, cells)
     C_N = poincare_constant(grid)
     print(f"C_N = {_fmt(C_N)}")
     return 0
 
 
 def _cmd_rates(args) -> int:
-    data = read_csv(args.csv)
+    data = _parse_csv(_read_input(args.csv))
     t = data["t"]
     L = data["lyapunov"]
     drop = np.nonzero(L <= 0.5 * L[0])[0]
@@ -435,11 +424,16 @@ def _cmd_mms(args) -> int:
     from .manufactured import mms_cases
     from .verify import mms_convergence
 
-    names = [args.case] if args.case else list(mms_cases())
     cases = mms_cases()
+    if args.case is not None and args.case not in cases:
+        raise UsageError(f"unknown case {args.case!r}; choose from {sorted(cases)}")
+    names = [args.case] if args.case else list(cases)
     ok = True
     for name in names:
-        conv = mms_convergence(cases[name], args.resolutions)
+        try:
+            conv = mms_convergence(cases[name], args.resolutions)
+        except ValueError as exc:  # too few resolutions, or one too coarse for a grid
+            raise UsageError(f"--resolutions: {exc}") from None
         errs = ", ".join(f"{e:.4e}" for e in conv.errors)
         print(f"case {name}: errors [{errs}]")
         if conv.note:
@@ -525,6 +519,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"chemofluid {args.command}: {exc}", file=sys.stderr)
         return 2
 
 

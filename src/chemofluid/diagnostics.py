@@ -26,11 +26,13 @@ from math import comb
 
 import numpy as np
 
-from .fluid import PoissonSolver, _dirichlet_eigvals_normal, neumann_eigenvalues
+from .fluid import PoissonSolver, stencil_eigenvalues
 from .grid import (
     Grid,
     ScalarField,
     VectorField,
+    _axis_slices,
+    _mirror_pad,
     gradient_cc,
 )
 
@@ -130,7 +132,7 @@ def poincare_constant(grid: Grid) -> float:
     ``C_N = 1 / min_d (4/h_d^2) sin^2(pi / (2 N_d))``.
     """
     return 1.0 / min(
-        neumann_eigenvalues(N, h)[1] for N, h in zip(grid.cells, grid.spacing)
+        stencil_eigenvalues(N, h, range(N))[1] for N, h in zip(grid.cells, grid.spacing)
     )
 
 
@@ -347,18 +349,10 @@ def grad_c_norms(c: ScalarField, grad=None) -> GradCNorms:
         grad = gradient_cc(c)
     mag2 = np.zeros(g.shape)
     for d in range(g.dim):
-        f = grad.components[d].copy()
-        first = [slice(None)] * g.dim
-        second = [slice(None)] * g.dim
-        first[d], second[d] = 0, 1
-        f[tuple(first)] = f[tuple(second)]
-        first[d], second[d] = -1, -2
-        f[tuple(first)] = f[tuple(second)]
-        lo = [slice(None)] * g.dim
-        hi = [slice(None)] * g.dim
-        lo[d] = slice(None, -1)
-        hi[d] = slice(1, None)
-        cell_d = 0.5 * (f[tuple(lo)] + f[tuple(hi)])
+        s = _axis_slices(d, g.dim)
+        # the interior faces with even ghosts in place of the wall faces
+        f = _mirror_pad(grad.components[d][s.mid], d, 1.0)
+        cell_d = 0.5 * (f[s.lo] + f[s.hi])
         mag2 += cell_d * cell_d
     vol = g.volume_element
     return GradCNorms(
@@ -419,7 +413,7 @@ def stokes_eigenvalue(grid: Grid) -> float:
         # it is (-1)^(k+1) times this, so the 2/h^4 of the two walls adds up
         # to 4/h^4 between modes of equal parity and cancels otherwise
         first = np.sqrt(2.0 / N) * np.sin(k * np.pi / N)
-        axes.append((k % 2, _dirichlet_eigvals_normal(N, h), first, 4.0 / h**4))
+        axes.append((k % 2, stencil_eigenvalues(N, h, k), first, 4.0 / h**4))
     (px, lx, bx, wx), (py, ly, by, wy) = axes
     lowest = np.inf
     for kx in (0, 1):
@@ -609,16 +603,9 @@ def _stream_test(grid: Grid, modes):
 
 def _cell_gradient(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Centered cell gradient with mirror ghosts (zero-flux walls)."""
-    pad_lo = [slice(None)] * grid.dim
-    pad_lo[axis] = slice(0, 1)
-    pad_hi = [slice(None)] * grid.dim
-    pad_hi[axis] = slice(-1, None)
-    pad = np.concatenate([data[tuple(pad_lo)], data, data[tuple(pad_hi)]], axis=axis)
-    lo = [slice(None)] * grid.dim
-    lo[axis] = slice(None, -2)
-    hi = [slice(None)] * grid.dim
-    hi[axis] = slice(2, None)
-    return (pad[tuple(hi)] - pad[tuple(lo)]) / (2.0 * grid.spacing[axis])
+    s = _axis_slices(axis, grid.dim)
+    pad = _mirror_pad(data, axis, 1.0)
+    return (pad[s.hi2] - pad[s.lo2]) / (2.0 * grid.spacing[axis])
 
 
 def _u_at_cells(U: VectorField) -> list:

@@ -16,6 +16,7 @@ staggered grid and is solved exactly by fast sine transforms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,16 +26,22 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
+    _axis_slices,
+    _mirror_pad,
+    _zero_walls,
     cells_to_faces,
     divergence_fc,
     face_component_at_faces,
     gradient_cc,
+    laplacian_neumann,
     vector_inner,
+    vector_l2_sq,
 )
 
 __all__ = [
     "SolverFailure",
-    "neumann_eigenvalues",
+    "stencil_eigenvalues",
+    "separable_eigenvalues",
     "PoissonSolver",
     "FluidParams",
     "helmholtz_project",
@@ -57,10 +64,23 @@ class SolverFailure(RuntimeError):
         self.residual = residual
 
 
-def neumann_eigenvalues(N: int, h: float) -> np.ndarray:
-    """Eigenvalues of the 1-D zero-flux ``-Lap`` stencil, cosine modes k = 0..N-1."""
-    k = np.arange(N)
+def stencil_eigenvalues(N: int, h: float, modes) -> np.ndarray:
+    """Eigenvalues ``(4/h^2) sin^2(k pi / 2N)`` of the 1-D 3-point ``-Lap``
+    stencil on ``N`` cells of width ``h``, for the integer ``modes`` k.
+
+    This one table serves every box operator: zero-flux cells take the
+    cosine modes ``range(N)`` (DCT-II), no-slip faces along their own axis
+    the sine modes ``range(1, N)`` (DST-I) and no-slip cells tangentially the
+    half-offset sine modes ``range(1, N + 1)`` (DST-II).
+    """
+    k = np.asarray(modes)
     return (4.0 / h**2) * np.sin(k * np.pi / (2 * N)) ** 2
+
+
+def separable_eigenvalues(tables) -> np.ndarray:
+    """Eigenvalues of a separable box operator: the outer sum of its 1-D
+    tables, one per axis in axis order."""
+    return functools.reduce(np.add.outer, tables)
 
 
 class PoissonSolver:
@@ -70,54 +90,34 @@ class PoissonSolver:
     diagonalizes the stencil exactly, so a solve is one forward transform, a
     scaling by the inverse eigenvalues precomputed here (zero at the k = 0
     nullspace entry, which also drops the mean of ``b``: the compatibility
-    condition), one inverse transform and a mean subtraction.  One stencil
-    matrix-vector product then certifies the result: its residual must lie
-    below ``tol * ||b - mean(b)||`` or the solve raises, a NaN residual
-    included.  A direct solve makes no iterations: ``last_iterations`` is 0.
+    condition), one inverse transform and a mean subtraction.  One
+    application of ``laplacian_neumann`` then certifies the result: its
+    residual must lie below ``tol * ||b - mean(b)||`` or the solve raises, a
+    NaN residual included.  That threshold is floored at the residual's
+    roundoff level ``8 eps lambda_max ||q||`` (``lambda_max`` the largest
+    eigenvalue), which otherwise outgrows a fixed ``tol`` like ``N^2``.  A
+    direct solve makes no iterations: ``last_iterations`` is 0.
     """
 
     def __init__(self, grid: Grid, tol: float = 1e-10):
         self.grid = grid
         self.tol = tol
-        lam = np.zeros(grid.shape)
-        for d in range(grid.dim):
-            shape = [1] * grid.dim
-            shape[d] = grid.cells[d]
-            lam = lam + neumann_eigenvalues(grid.cells[d], grid.spacing[d]).reshape(shape)
+        lam = separable_eigenvalues(
+            [stencil_eigenvalues(N, h, range(N)) for N, h in zip(grid.cells, grid.spacing)]
+        )
+        self._roundoff = 8.0 * np.finfo(np.float64).eps * float(lam.max())
         lam.flat[0] = np.inf  # constant nullspace: its coefficient maps to zero
         self._inv_eigs = 1.0 / lam
         self.last_iterations = 0
         self.last_residual = 0.0
-
-    def apply_neg_laplacian(self, p: np.ndarray) -> np.ndarray:
-        """Matrix-vector product with ``-Lap`` (zero-flux walls)."""
-        out = np.zeros_like(p)
-        dim = self.grid.dim
-        for d in range(dim):
-            h2 = self.grid.spacing[d] ** 2
-            mid = [slice(None)] * dim
-            mid[d] = slice(1, -1)
-            lo = [slice(None)] * dim
-            lo[d] = slice(None, -2)
-            hi = [slice(None)] * dim
-            hi[d] = slice(2, None)
-            out[tuple(mid)] -= (p[tuple(hi)] - 2.0 * p[tuple(mid)] + p[tuple(lo)]) / h2
-            first = [slice(None)] * dim
-            first[d] = 0
-            second = [slice(None)] * dim
-            second[d] = 1
-            out[tuple(first)] -= (p[tuple(second)] - p[tuple(first)]) / h2
-            first[d] = -1
-            second[d] = -2
-            out[tuple(first)] -= (p[tuple(second)] - p[tuple(first)]) / h2
-        return out
 
     def solve(self, b: np.ndarray, abs_target: float = None) -> np.ndarray:
         """Return ``q`` with ``Lap q = b`` (mean-zero), raising if uncertified.
 
         The residual must lie below ``tol * ||b - mean(b)||`` and, when
         ``abs_target`` is given, below that absolute level as well (the
-        projection uses it to pin the post-projection divergence).
+        projection uses it to pin the post-projection divergence); neither
+        threshold goes below the roundoff floor ``8 eps lambda_max ||q||``.
         """
         b = np.asarray(b, dtype=np.float64)
         rhs = b.mean() - b  # -Lap q = rhs
@@ -132,10 +132,12 @@ class PoissonSolver:
         spec *= self._inv_eigs
         q = scipy.fft.dctn(spec, type=3, norm="ortho", overwrite_x=True)
         q -= q.mean()
-        r = rhs - self.apply_neg_laplacian(q)
+        r = rhs + laplacian_neumann(ScalarField(self.grid, q)).data
         res = float(np.sqrt((r * r).sum()))
         self.last_residual = res / rhs_norm
-        if not res <= target:  # written so that a NaN residual fails too
+        # written so that a NaN residual fails too; the floor is only
+        # evaluated when the target alone fails
+        if not (res <= target or res <= self._roundoff * float(np.sqrt((q * q).sum()))):
             raise SolverFailure("pressure Poisson solve failed its residual check", res / rhs_norm)
         return q
 
@@ -171,8 +173,6 @@ def project_with_potential(w: VectorField, solver: PoissonSolver):
     """
     w.check_finite("projection input")
     rhs = divergence_fc(w)
-    from .grid import vector_l2_sq
-
     w_norm = np.sqrt(vector_l2_sq(w))
     abs_target = 1e-10 * w_norm / np.sqrt(w.grid.volume_element)
     q = solver.solve(rhs.data, abs_target=abs_target)
@@ -193,24 +193,6 @@ def helmholtz_project(w: VectorField, solver: PoissonSolver) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def _odd_pad(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Pad with odd-mirror ghosts so the wall value (half a cell away) is zero."""
-    lo = [slice(None)] * arr.ndim
-    lo[axis] = slice(0, 1)
-    hi = [slice(None)] * arr.ndim
-    hi[axis] = slice(-1, None)
-    return np.concatenate([-arr[tuple(lo)], arr, -arr[tuple(hi)]], axis=axis)
-
-
-def _zero_walls(comp: np.ndarray, axis: int) -> np.ndarray:
-    sl = [slice(None)] * comp.ndim
-    sl[axis] = 0
-    comp[tuple(sl)] = 0.0
-    sl[axis] = -1
-    comp[tuple(sl)] = 0.0
-    return comp
-
-
 def laplacian_noslip(U: VectorField) -> VectorField:
     """Componentwise Laplacian with no-slip walls.
 
@@ -224,26 +206,13 @@ def laplacian_noslip(U: VectorField) -> VectorField:
         arr = U.components[d]
         lap = np.zeros_like(arr)
         for e in range(g.dim):
+            s = _axis_slices(e, g.dim)
             h2 = g.spacing[e] ** 2
             if e == d:
-                mid = [slice(None)] * g.dim
-                mid[e] = slice(1, -1)
-                lo = [slice(None)] * g.dim
-                lo[e] = slice(None, -2)
-                hi = [slice(None)] * g.dim
-                hi[e] = slice(2, None)
-                lap[tuple(mid)] += (
-                    arr[tuple(hi)] - 2.0 * arr[tuple(mid)] + arr[tuple(lo)]
-                ) / h2
+                lap[s.mid] += (arr[s.hi2] - 2.0 * arr[s.mid] + arr[s.lo2]) / h2
             else:
-                pad = _odd_pad(arr, e)
-                lo = [slice(None)] * g.dim
-                lo[e] = slice(None, -2)
-                mid = [slice(None)] * g.dim
-                mid[e] = slice(1, -1)
-                hi = [slice(None)] * g.dim
-                hi[e] = slice(2, None)
-                lap += (pad[tuple(hi)] - 2.0 * pad[tuple(mid)] + pad[tuple(lo)]) / h2
+                pad = _mirror_pad(arr, e, -1.0)
+                lap += (pad[s.hi2] - 2.0 * pad[s.mid] + pad[s.lo2]) / h2
         _zero_walls(lap, d)
         out.append(lap)
     return VectorField(g, out)
@@ -267,28 +236,19 @@ def convection_upwind(A: VectorField, U: VectorField) -> VectorField:
         arr = U.components[d]
         conv = np.zeros_like(arr)
         for e in range(g.dim):
+            s = _axis_slices(e, g.dim)
             h = g.spacing[e]
             a_e = face_component_at_faces(A.components[e], g, e, d)
             if e == d:
                 bwd = np.zeros_like(arr)
                 fwd = np.zeros_like(arr)
-                lo = [slice(None)] * g.dim
-                lo[e] = slice(1, None)
-                hi = [slice(None)] * g.dim
-                hi[e] = slice(None, -1)
                 diff = np.diff(arr, axis=e) / h
-                bwd[tuple(lo)] = diff
-                fwd[tuple(hi)] = diff
+                bwd[s.hi] = diff
+                fwd[s.lo] = diff
             else:
-                pad = _odd_pad(arr, e)
-                losl = [slice(None)] * g.dim
-                losl[e] = slice(None, -2)
-                midsl = [slice(None)] * g.dim
-                midsl[e] = slice(1, -1)
-                hisl = [slice(None)] * g.dim
-                hisl[e] = slice(2, None)
-                bwd = (pad[tuple(midsl)] - pad[tuple(losl)]) / h
-                fwd = (pad[tuple(hisl)] - pad[tuple(midsl)]) / h
+                pad = _mirror_pad(arr, e, -1.0)
+                bwd = (pad[s.mid] - pad[s.lo2]) / h
+                fwd = (pad[s.hi2] - pad[s.mid]) / h
             conv += a_e * np.where(a_e > 0.0, bwd, fwd)
         _zero_walls(conv, d)
         out.append(conv)
@@ -298,16 +258,6 @@ def convection_upwind(A: VectorField, U: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 # Yosida smoothing
 # ---------------------------------------------------------------------------
-
-
-def _dirichlet_eigvals_normal(N: int, h: float) -> np.ndarray:
-    k = np.arange(1, N)
-    return (4.0 / h**2) * np.sin(k * np.pi / (2 * N)) ** 2
-
-
-def _dirichlet_eigvals_tangential(N: int, h: float) -> np.ndarray:
-    m = np.arange(1, N + 1)
-    return (4.0 / h**2) * np.sin(m * np.pi / (2 * N)) ** 2
 
 
 def diffusion_resolvent(U: VectorField, eps: float) -> VectorField:
@@ -323,31 +273,27 @@ def diffusion_resolvent(U: VectorField, eps: float) -> VectorField:
     g = U.grid
     out = []
     for d in range(g.dim):
+        # per axis: (forward DST type, inverse DST type, sine modes)
+        axes = [
+            (1, 1, range(1, N)) if e == d else (2, 3, range(1, N + 1))
+            for e, N in enumerate(g.cells)
+        ]
         arr = U.components[d]
-        core_sl = [slice(None)] * g.dim
-        core_sl[d] = slice(1, -1)
-        core = arr[tuple(core_sl)]
-        spec = core
-        lam = np.zeros_like(core)
-        for e in range(g.dim):
-            h = g.spacing[e]
-            if e == d:
-                spec = scipy.fft.dst(spec, type=1, axis=e, norm="ortho")
-                ev = _dirichlet_eigvals_normal(g.cells[e], h)
-            else:
-                spec = scipy.fft.dst(spec, type=2, axis=e, norm="ortho")
-                ev = _dirichlet_eigvals_tangential(g.cells[e], h)
-            shape = [1] * g.dim
-            shape[e] = ev.size
-            lam = lam + ev.reshape(shape)
+        mid = _axis_slices(d, g.dim).mid
+        spec = arr[mid]
+        for e, (forward, _, _) in enumerate(axes):
+            spec = scipy.fft.dst(spec, type=forward, axis=e, norm="ortho")
+        lam = separable_eigenvalues(
+            [
+                stencil_eigenvalues(N, h, modes)
+                for N, h, (_, _, modes) in zip(g.cells, g.spacing, axes)
+            ]
+        )
         spec = spec / (1.0 + eps * lam)
-        for e in range(g.dim):
-            if e == d:
-                spec = scipy.fft.dst(spec, type=1, axis=e, norm="ortho")
-            else:
-                spec = scipy.fft.dst(spec, type=3, axis=e, norm="ortho")
+        for e, (_, inverse, _) in enumerate(axes):
+            spec = scipy.fft.dst(spec, type=inverse, axis=e, norm="ortho")
         full = np.zeros_like(arr)
-        full[tuple(core_sl)] = spec
+        full[mid] = spec
         out.append(full)
     return VectorField(g, out)
 
@@ -444,8 +390,6 @@ def energy_identity_residual(
     against ``-integral |grad u|^2 + integral (n - n_mean) grad(phi) . u``
     evaluated at the step start; expected O(dt + h^2) along smooth flows.
     """
-    from .grid import vector_l2_sq
-
     rate = 0.5 * (vector_l2_sq(u_next) - vector_l2_sq(u_prev)) / dt
     rhs = -dirichlet_energy(u_prev)
     if params.grad_phi is not None:

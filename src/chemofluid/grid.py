@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,52 +217,83 @@ class VectorField:
 
     def zero_wall_normal(self) -> "VectorField":
         """Return a copy with wall faces explicitly zeroed."""
-        comps = []
-        for d, c in enumerate(self.components):
-            c = c.copy()
-            sl_lo = [slice(None)] * self.grid.dim
-            sl_lo[d] = 0
-            c[tuple(sl_lo)] = 0.0
-            sl_lo[d] = -1
-            c[tuple(sl_lo)] = 0.0
-            comps.append(c)
-        return VectorField(self.grid, comps)
+        return VectorField(
+            self.grid, [_zero_walls(c.copy(), d) for d, c in enumerate(self.components)]
+        )
 
     def wall_normal_max(self) -> float:
         m = 0.0
         for d, c in enumerate(self.components):
-            sl = [slice(None)] * self.grid.dim
-            sl[d] = 0
-            m = max(m, float(np.abs(c[tuple(sl)]).max()))
-            sl[d] = -1
-            m = max(m, float(np.abs(c[tuple(sl)]).max()))
+            s = _axis_slices(d, self.grid.dim)
+            m = max(m, float(np.abs(c[s.first]).max()), float(np.abs(c[s.last]).max()))
         return m
 
     def max_abs(self) -> float:
         return max(float(np.abs(c).max()) for c in self.components)
 
 
-@functools.lru_cache(maxsize=None)
-def _axis_slices(axis: int, dim: int):
-    """Index tuples ``(lo, hi, mid, first, last)`` along ``axis``.
+class AxisSlices(NamedTuple):
+    """Index tuples along one axis of a ``dim``-dimensional array.
 
     ``lo``/``hi`` select ``[:-1]``/``[1:]`` (the two cells beside each
     interior face, or the two faces bounding each cell), ``mid`` selects
-    ``[1:-1]`` (the interior faces) and ``first``/``last`` the wall slices.
+    ``[1:-1]`` (the interior faces, or the centres of a 3-point stencil),
+    ``lo2``/``hi2`` select ``[:-2]``/``[2:]`` (the stencil's neighbours of
+    ``mid``) and ``first``/``last`` the wall slices.
     """
+
+    lo: tuple
+    hi: tuple
+    mid: tuple
+    lo2: tuple
+    hi2: tuple
+    first: tuple
+    last: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_slices(axis: int, dim: int) -> AxisSlices:
+    """The one source of per-axis index tuples for every MAC kernel."""
 
     def along(index):
         sl = [slice(None)] * dim
         sl[axis] = index
         return tuple(sl)
 
-    return (
-        along(slice(None, -1)),
-        along(slice(1, None)),
-        along(slice(1, -1)),
-        along(0),
-        along(-1),
+    return AxisSlices(
+        lo=along(slice(None, -1)),
+        hi=along(slice(1, None)),
+        mid=along(slice(1, -1)),
+        lo2=along(slice(None, -2)),
+        hi2=along(slice(2, None)),
+        first=along(0),
+        last=along(-1),
     )
+
+
+def _zero_walls(comp: np.ndarray, axis: int) -> np.ndarray:
+    """Zero the two wall slices of ``comp`` along ``axis`` in place; returns ``comp``."""
+    s = _axis_slices(axis, comp.ndim)
+    comp[s.first] = 0.0
+    comp[s.last] = 0.0
+    return comp
+
+
+def _mirror_pad(arr: np.ndarray, axis: int, sign: float) -> np.ndarray:
+    """Pad one ghost layer on each side of ``axis``, mirroring the wall slices.
+
+    ``sign = 1`` gives even ghosts (a zero-flux wall at the face between a
+    ghost and its mirror image); ``sign = -1`` gives odd ghosts (a zero value
+    there: no-slip walls half a cell outside a face line).
+    """
+    s = _axis_slices(axis, arr.ndim)
+    shape = list(arr.shape)
+    shape[axis] += 2
+    out = np.empty(shape, dtype=arr.dtype)
+    out[s.mid] = arr
+    np.multiply(arr[s.first], sign, out=out[s.first])
+    np.multiply(arr[s.last], sign, out=out[s.last])
+    return out
 
 
 def gradient_cc(f: ScalarField) -> VectorField:
@@ -274,10 +306,10 @@ def gradient_cc(f: ScalarField) -> VectorField:
     g = f.grid
     comps = []
     for d in range(g.dim):
-        lo, hi, mid, _, _ = _axis_slices(d, g.dim)
+        s = _axis_slices(d, g.dim)
         out = np.zeros(g.face_shape(d))
-        inner = out[mid]
-        np.subtract(f.data[hi], f.data[lo], out=inner)
+        inner = out[s.mid]
+        np.subtract(f.data[s.hi], f.data[s.lo], out=inner)
         inner /= g.spacing[d]
         comps.append(out)
     return VectorField(g, comps)
@@ -289,9 +321,9 @@ def divergence_fc(F: VectorField) -> ScalarField:
     out = np.zeros(g.shape)
     term = np.empty(g.shape)
     for d in range(g.dim):
-        lo, hi, _, _, _ = _axis_slices(d, g.dim)
+        s = _axis_slices(d, g.dim)
         comp = F.components[d]
-        np.subtract(comp[hi], comp[lo], out=term)
+        np.subtract(comp[s.hi], comp[s.lo], out=term)
         term /= g.spacing[d]
         out += term
     return ScalarField(g, out)
@@ -334,21 +366,18 @@ def cells_to_faces(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     Wall faces receive the adjacent cell value; callers that need zero-flux
     walls zero them afterwards.
     """
-    lo, hi, mid, first, last = _axis_slices(axis, grid.dim)
+    s = _axis_slices(axis, grid.dim)
     out = np.empty(grid.face_shape(axis))
-    out[mid] = 0.5 * (data[lo] + data[hi])
-    out[first] = data[first]
-    out[last] = data[last]
+    out[s.mid] = 0.5 * (data[s.lo] + data[s.hi])
+    out[s.first] = data[s.first]
+    out[s.last] = data[s.last]
     return out
 
 
 def faces_to_cells(comp: np.ndarray, axis: int) -> np.ndarray:
     """Average the two faces bounding each cell along ``axis``."""
-    lo = [slice(None)] * comp.ndim
-    hi = [slice(None)] * comp.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return 0.5 * (comp[tuple(lo)] + comp[tuple(hi)])
+    s = _axis_slices(axis, comp.ndim)
+    return 0.5 * (comp[s.lo] + comp[s.hi])
 
 
 def face_component_at_faces(
@@ -370,9 +399,9 @@ def upwind_cells_to_faces(
     the lower-index cell.  Wall faces return 0 (their fluxes are zeroed by
     every caller).
     """
-    lo, hi, mid, _, _ = _axis_slices(axis, grid.dim)
+    s = _axis_slices(axis, grid.dim)
     out = np.zeros(grid.face_shape(axis))
-    out[mid] = np.where(carrier[mid] > 0.0, data[lo], data[hi])
+    out[s.mid] = np.where(carrier[s.mid] > 0.0, data[s.lo], data[s.hi])
     return out
 
 

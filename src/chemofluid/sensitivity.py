@@ -25,6 +25,7 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
+    _zero_walls,
     cells_to_faces,
     face_component_at_faces,
     gradient_cc,
@@ -272,12 +273,7 @@ def _face_drift_components(
                 * f_eps(n_up, reg.eps)
                 * sg
             )
-        # wall faces never carry chemotactic flux
-        sl = [slice(None)] * g.dim
-        sl[d] = 0
-        drift[tuple(sl)] = 0.0
-        sl[d] = -1
-        drift[tuple(sl)] = 0.0
+        _zero_walls(drift, d)  # wall faces never carry chemotactic flux
         n_up_list.append(n_up)
         drift_list.append(drift)
     return n_up_list, drift_list

@@ -9,6 +9,7 @@ checks; every report is reproducible bitwise for a fixed seed.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -431,21 +432,28 @@ def scenario_library(cells=(64, 64), grid: Grid = None) -> dict:
 
 
 _TRAJ_CACHE: dict = {}
+_KEY_LOCKS: dict = {}  # cache key -> the lock its one computation holds
+_KEY_LOCKS_GUARD = threading.Lock()
 
 
 def run_scenario(scenario: Scenario, seed: int = 0, use_cache: bool = True) -> VerdictReport:
     """Run the scenario and evaluate its assertions.
 
     A simulation abort is reported as a failed verdict carrying the cause;
-    the partial trajectory is still attached.
+    the partial trajectory is still attached.  Cached trajectories are
+    computed once per key even when suites run in parallel threads: a
+    second caller waits for the first one's result.
     """
-    key = (scenario.key or scenario.name, seed)
-    traj = _TRAJ_CACHE.get(key) if use_cache else None
-    if traj is None:
-        params, initial = scenario.build(seed)
-        traj = run(params, initial)
-        if use_cache:
-            _TRAJ_CACHE[key] = traj
+    if use_cache:
+        key = (scenario.key or scenario.name, seed)
+        with _KEY_LOCKS_GUARD:
+            lock = _KEY_LOCKS.setdefault(key, threading.Lock())
+        with lock:
+            traj = _TRAJ_CACHE.get(key)
+            if traj is None:
+                traj = _TRAJ_CACHE[key] = run(*scenario.build(seed))
+    else:
+        traj = run(*scenario.build(seed))
     results = []
     for name, fn in scenario.assertions:
         try:
@@ -698,7 +706,7 @@ def _suite_lyapunov(cells=(64, 64), seed: int = 0):
 
 
 def _infeasible_build(cells, seed):
-    grid = make_grid(2, (1.0,) * len(cells), cells)
+    grid = make_grid(len(cells), (1.0,) * len(cells), cells)
     C_N = poincare_constant(grid)
     params = _base_params(grid, C_S=2.0 * float(np.sqrt(C_N)), kappa=1.0, eps=0.1, T=0.02)
     rng = np.random.default_rng(seed)

@@ -1,10 +1,14 @@
 """Config parsing, CSV determinism, and the subcommands."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from chemofluid.cli import (
+    _SCHEMA,
     ConfigError,
+    RunConfig,
     main,
     parse_config,
     read_csv,
@@ -70,6 +74,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert "duplicate" in str(exc.value)
+
+    def test_schema_order_is_field_order(self):
+        # serialization and the echo block both rely on this order
+        names = [key for keys in _SCHEMA.values() for key in keys]
+        assert names == [f.name for f in dataclasses.fields(RunConfig)]
 
     def test_round_trip_identity(self):
         cfg = parse_config(MINIMAL)
@@ -139,11 +148,36 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_grid_shape_error_exit_code(self, tmp_path, capsys):
-        body = MINIMAL.replace("dim = 2", "dim = 3")
-        assert main(["run", "--config", self._write_cfg(tmp_path, body)]) == 2
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--config", "{cfg}"], "config error: line 4: [grid] extents/cells must have length dim=3"),
+            (["poincare", "--dim", "4", "--cells", "8", "--extents", "1"], "dim must be 2 or 3"),
+            (["poincare", "--dim", "2", "--cells", "2", "--extents", "1"], "at least 4 cells"),
+            (["verify", "--cells", "2,2"], "at least 4 cells"),
+            (["mms", "--case", "bogus"], "unknown case 'bogus'"),
+            (["mms", "--resolutions", "8,12"], "at least 3 resolutions"),
+            (["run", "--config", "{tmp}/missing.cfg"], "cannot read"),
+            (["rates", "--csv", "{tmp}/missing.csv"], "cannot read"),
+        ],
+        ids=[
+            "run-dim3",
+            "poincare-dim4",
+            "poincare-cells2",
+            "verify-cells2",
+            "mms-bogus-case",
+            "mms-two-resolutions",
+            "run-missing-config",
+            "rates-missing-csv",
+        ],
+    )
+    def test_grid_shape_error_exit_code(self, tmp_path, capsys, argv, message):
+        cfg = self._write_cfg(tmp_path, MINIMAL.replace("dim = 2", "dim = 3"))
+        argv = [a.format(cfg=cfg, tmp=tmp_path) for a in argv]
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "length dim=3" in err
+        assert message in err
+        assert len(err.splitlines()) == 1, err
 
     def test_anisotropic_grid_honoured(self, tmp_path, capsys):
         body = MINIMAL.replace("cells = 24,24", "cells = 16,8").replace(

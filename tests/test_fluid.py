@@ -15,16 +15,20 @@ from chemofluid.fluid import (
     helmholtz_project,
     laplacian_noslip,
     ns_substep,
+    project_with_potential,
     yosida_apply,
 )
 from chemofluid.grid import (
     ScalarField,
     VectorField,
     gradient_cc,
+    laplacian_neumann,
     make_grid,
     vector_inner,
     vector_l2_sq,
 )
+
+from chemofluid.verify import random_smooth_field, swirl_velocity
 
 from conftest import random_scalar, random_vector
 
@@ -50,7 +54,7 @@ class TestPoissonSolver:
         solver = PoissonSolver(grid2d)
         b = rng.standard_normal(grid2d.shape)
         q = solver.solve(b)
-        lap_q = -solver.apply_neg_laplacian(q)
+        lap_q = laplacian_neumann(ScalarField(grid2d, q)).data
         resid = np.sqrt((((lap_q - (b - b.mean()))) ** 2).sum())
         assert resid <= solver.tol * np.sqrt(((b - b.mean()) ** 2).sum())
         assert abs(q.mean()) <= 1e-13 * np.abs(q).max()
@@ -66,7 +70,7 @@ class TestPoissonSolver:
         b = rng.standard_normal(grid.shape)
         q = solver.solve(b)
         rhs = b - b.mean()
-        resid = np.sqrt(((-solver.apply_neg_laplacian(q) - rhs) ** 2).sum())
+        resid = np.sqrt(((laplacian_neumann(ScalarField(grid, q)).data - rhs) ** 2).sum())
         rel = resid / np.sqrt((rhs**2).sum())
         assert rel <= 1e-13
         assert solver.last_residual == pytest.approx(rel, rel=1e-6, abs=1e-16)
@@ -82,6 +86,29 @@ class TestPoissonSolver:
             solver.solve(b)
         assert np.isnan(exc.value.residual)
         assert np.isnan(solver.last_residual)
+
+    def test_roundoff_floor_admits_smooth_projection_at_1024(self):
+        # the residual of a smooth right-hand side sits just under half of
+        # eps * lambda_max * ||q|| at every size; without the floor this
+        # projection fails its absolute divergence target at 1024^2
+        grid = make_grid(2, (1.0, 1.0), (1024, 1024))
+        f = random_smooth_field(grid, np.random.default_rng(1), 1.0)
+        pairs = zip(gradient_cc(f).components, swirl_velocity(grid, 0.1).components)
+        w = VectorField(grid, [a + b for a, b in pairs])
+        solver = PoissonSolver(grid)
+        u, _, rel = project_with_potential(w, solver)
+        assert rel <= 1e-10
+        assert divergence_max(u) <= 1e-8 * np.sqrt(vector_l2_sq(w))
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_wrong_eigenvalue_fails_certificate(self, n):
+        # the floor must stay far below the residual of a real solver defect
+        grid = make_grid(2, (1.0, 1.0), (n, n))
+        solver = PoissonSolver(grid)
+        solver._inv_eigs[1, 1] *= 1.01
+        b = random_smooth_field(grid, np.random.default_rng(2), 1.0).data
+        with pytest.raises(SolverFailure):
+            solver.solve(b)
 
 
 class TestProjection:

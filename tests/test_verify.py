@@ -1,6 +1,10 @@
 """Scenario harness, epsilon ladder, and convergence runner."""
 
 import dataclasses
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from chemofluid.verify import (
     epsilon_ladder,
     mms_convergence,
     run_scenario,
+    run_suite,
     scenario_library,
 )
 
@@ -104,6 +109,41 @@ class TestScenarios:
         report = run_scenario(sc, seed=0, use_cache=False)
         assert not report.passed
         assert "aborted" in report.results[0].measured
+
+
+    def test_lyapunov_suite_in_three_d(self):
+        reports = run_suite("lyapunov", cells=(8, 8, 8))
+        infeasible = next(r for r in reports if r.scenario == "infeasible_by_design")
+        assert infeasible.trajectory.params.grid.cells == (8, 8, 8)
+        statuses = {r.name: r.status for r in infeasible.results}
+        assert statuses["lyapunov_monotone"] == "skip"
+        assert all(r.passed for r in reports)
+
+    def test_cached_trajectory_computed_once_across_threads(self):
+        base = scenario_library((8, 8))["steady_state"]
+        calls = []
+        lock = threading.Lock()
+
+        def counted_build(seed):
+            with lock:
+                calls.append(seed)
+            time.sleep(0.2)  # keep the first build running while the others ask
+            return base.build(seed)
+
+        sc = Scenario(
+            "counted", "steady state, counting its builds", counted_build, base.assertions,
+            key=("counted", object()),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as ex:
+                futures = [ex.submit(run_scenario, sc, 0) for _ in range(4)]
+                reports = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [0]
+        assert all(r.trajectory is reports[0].trajectory for r in reports)
 
 
 class TestToleranceCalibration:
