@@ -282,10 +282,23 @@ def read_csv(path: str):
 
 
 def _parse_csv(text: str) -> dict:
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    header = lines[0].split(",") if lines else []
-    rows = [line.split(",") for line in lines[1:]]
-    return {h: np.array([float(r[i]) for r in rows]) for i, h in enumerate(header)}
+    """Columns of a numeric CSV by header name; ``ValueError`` names the
+    first line that is not one float per header field."""
+    lines = [(k, line.strip()) for k, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines:
+        raise ValueError("no header line")
+    header = lines[0][1].split(",")
+    rows = []
+    for k, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"line {k}: {len(cells)} fields, the header has {len(header)}")
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError:
+            raise ValueError(f"line {k}: a field is not a number: {line!r}") from None
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+    return {h: table[:, i].copy() for i, h in enumerate(header)}
 
 
 def _read_input(path: str) -> str:
@@ -399,7 +412,19 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    data = _parse_csv(_read_input(args.csv))
+    text = _read_input(args.csv)
+    try:
+        data = _parse_csv(text)
+    except ValueError as exc:
+        raise UsageError(f"{args.csv}: {exc}") from None
+    needed = ["t", "lyapunov"]
+    for col in args.columns:
+        needed += ["l2_n_dev", "l2_c_dev"] if col == "l2_dev_sum" else [col]
+    missing = [col for col in dict.fromkeys(needed) if col not in data]
+    if missing:
+        raise UsageError(f"{args.csv}: missing column(s) {', '.join(missing)}")
+    if data["t"].size == 0:
+        raise UsageError(f"{args.csv}: no data rows")
     t = data["t"]
     L = data["lyapunov"]
     drop = np.nonzero(L <= 0.5 * L[0])[0]

@@ -26,6 +26,7 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
+    _abs_max,
     _axis_slices,
     _mirror_pad,
     _zero_walls,
@@ -33,7 +34,6 @@ from .grid import (
     divergence_fc,
     face_component_at_faces,
     gradient_cc,
-    laplacian_neumann,
     vector_inner,
     vector_l2_sq,
 )
@@ -110,6 +110,8 @@ class PoissonSolver:
         self._inv_eigs = 1.0 / lam
         self.last_iterations = 0
         self.last_residual = 0.0
+        self._resolvent = {}  # eps -> resolvent_denominators(eps)
+        self._handoff = None  # (q, gradient_cc(q)) of the last solve, until taken
 
     def solve(self, b: np.ndarray, abs_target: float = None) -> np.ndarray:
         """Return ``q`` with ``Lap q = b`` (mean-zero), raising if uncertified.
@@ -118,7 +120,11 @@ class PoissonSolver:
         ``abs_target`` is given, below that absolute level as well (the
         projection uses it to pin the post-projection divergence); neither
         threshold goes below the roundoff floor ``8 eps lambda_max ||q||``.
+        The residual applies ``laplacian_neumann`` as its two halves,
+        ``divergence_fc(gradient_cc(q))``; ``take_gradient`` hands that
+        gradient over to a projection.
         """
+        self._handoff = None
         b = np.asarray(b, dtype=np.float64)
         rhs = b.mean() - b  # -Lap q = rhs
         rhs_norm = float(np.sqrt((rhs * rhs).sum()))
@@ -132,14 +138,33 @@ class PoissonSolver:
         spec *= self._inv_eigs
         q = scipy.fft.dctn(spec, type=3, norm="ortho", overwrite_x=True)
         q -= q.mean()
-        r = rhs + laplacian_neumann(ScalarField(self.grid, q)).data
+        grad_q = gradient_cc(ScalarField(self.grid, q))
+        r = divergence_fc(grad_q).data
+        r += rhs
         res = float(np.sqrt((r * r).sum()))
         self.last_residual = res / rhs_norm
         # written so that a NaN residual fails too; the floor is only
         # evaluated when the target alone fails
         if not (res <= target or res <= self._roundoff * float(np.sqrt((q * q).sum()))):
             raise SolverFailure("pressure Poisson solve failed its residual check", res / rhs_norm)
+        self._handoff = (q, grad_q)
         return q
+
+    def take_gradient(self, q: np.ndarray) -> VectorField:
+        """``gradient_cc(q)`` for a potential ``q``: the residual check's own
+        gradient when ``q`` is what the last solve returned.  The solver
+        keeps no reference to it afterwards."""
+        handoff, self._handoff = self._handoff, None
+        if handoff is not None and handoff[0] is q:
+            return handoff[1]
+        return gradient_cc(ScalarField(self.grid, q))
+
+    def resolvent_denominators(self, eps: float) -> list:
+        """``1 + eps * lambda`` of the no-slip resolvent, per velocity
+        component, computed once per ``eps`` for this solver's grid."""
+        if eps not in self._resolvent:
+            self._resolvent[eps] = _resolvent_denominators(self.grid, eps)
+        return self._resolvent[eps]
 
 
 @dataclass
@@ -169,17 +194,18 @@ def project_with_potential(w: VectorField, solver: PoissonSolver):
     The Poisson residual equals the post-projection divergence (flux-form
     composition is exact), so the solve's certificate checks it below
     ``1e-10 * ||w|| / sqrt(vol)`` in cell-l2, giving
-    ``||div(P w)||_L2 <= 1e-10 * ||w||_L2``.
+    ``||div(P w)||_L2 <= 1e-10 * ||w||_L2``.  The certificate's residual is
+    ``divergence_fc`` of the very ``gradient_cc(q)`` subtracted here: the
+    solve hands it over instead of it being computed twice.
     """
     w.check_finite("projection input")
     rhs = divergence_fc(w)
     w_norm = np.sqrt(vector_l2_sq(w))
     abs_target = 1e-10 * w_norm / np.sqrt(w.grid.volume_element)
     q = solver.solve(rhs.data, abs_target=abs_target)
-    qf = ScalarField(w.grid, q)
-    gq = gradient_cc(qf)
-    comps = [wc - gc for wc, gc in zip(w.components, gq.components)]
-    return VectorField(w.grid, comps), qf, solver.last_residual
+    grad_q = solver.take_gradient(q)
+    comps = [np.subtract(wc, gc, out=gc) for wc, gc in zip(w.components, grad_q.components)]
+    return VectorField(w.grid, comps), ScalarField(w.grid, q), solver.last_residual
 
 
 def helmholtz_project(w: VectorField, solver: PoissonSolver) -> VectorField:
@@ -204,15 +230,27 @@ def laplacian_noslip(U: VectorField) -> VectorField:
     out = []
     for d in range(g.dim):
         arr = U.components[d]
-        lap = np.zeros_like(arr)
+        lap = np.empty_like(arr)
+        term = np.empty_like(arr)
         for e in range(g.dim):
             s = _axis_slices(e, g.dim)
-            h2 = g.spacing[e] ** 2
-            if e == d:
-                lap[s.mid] += (arr[s.hi2] - 2.0 * arr[s.mid] + arr[s.lo2]) / h2
-            else:
-                pad = _mirror_pad(arr, e, -1.0)
-                lap += (pad[s.hi2] - 2.0 * pad[s.mid] + pad[s.lo2]) / h2
+            dst = lap if e == 0 else term  # the first axis goes straight into lap
+            if e == d:  # own axis: interior faces only, the walls are pinned
+                _zero_walls(dst, e)
+                mid = dst[s.mid]
+                np.multiply(arr[s.mid], -2.0, out=mid)
+                mid += arr[s.hi2]
+                mid += arr[s.lo2]
+                mid /= g.spacing[e] ** 2
+            else:  # the odd ghosts beyond the wall slices are their negatives
+                np.multiply(arr, -2.0, out=dst)
+                dst[s.lo] += arr[s.hi]
+                dst[s.last] -= arr[s.last]
+                dst[s.hi] += arr[s.lo]
+                dst[s.first] -= arr[s.first]
+                dst /= g.spacing[e] ** 2
+            if e > 0:
+                lap += term
         _zero_walls(lap, d)
         out.append(lap)
     return VectorField(g, out)
@@ -229,27 +267,35 @@ def dirichlet_energy(U: VectorField, lap=None) -> float:
 
 
 def convection_upwind(A: VectorField, U: VectorField) -> VectorField:
-    """Advective-form upwind transport ``(A . grad) U`` on the staggered grid."""
+    """Advective-form upwind transport ``(A . grad) U`` on the staggered grid.
+
+    Along each axis one pass of differences ``D`` serves both sides: the
+    backward difference at a face is ``D[lo]``, the forward one ``D[hi]``.
+    """
     g = U.grid
     out = []
     for d in range(g.dim):
         arr = U.components[d]
-        conv = np.zeros_like(arr)
+        conv = np.empty_like(arr)
+        term = np.empty_like(arr)
         for e in range(g.dim):
             s = _axis_slices(e, g.dim)
-            h = g.spacing[e]
             a_e = face_component_at_faces(A.components[e], g, e, d)
-            if e == d:
-                bwd = np.zeros_like(arr)
-                fwd = np.zeros_like(arr)
-                diff = np.diff(arr, axis=e) / h
-                bwd[s.hi] = diff
-                fwd[s.lo] = diff
+            sel = conv if e == 0 else term  # the first axis goes straight into conv
+            if e == d:  # own axis: interior faces only, the walls are zeroed below
+                D = np.subtract(arr[s.hi], arr[s.lo])
+                _zero_walls(sel, e)
+                dst, carrier = sel[s.mid], a_e[s.mid]
             else:
                 pad = _mirror_pad(arr, e, -1.0)
-                bwd = (pad[s.mid] - pad[s.lo2]) / h
-                fwd = (pad[s.hi2] - pad[s.mid]) / h
-            conv += a_e * np.where(a_e > 0.0, bwd, fwd)
+                D = np.subtract(pad[s.hi], pad[s.lo])
+                dst, carrier = sel, a_e
+            D /= g.spacing[e]
+            np.copyto(dst, D[s.hi])
+            np.copyto(dst, D[s.lo], where=carrier > 0.0)
+            sel *= a_e
+            if e > 0:
+                conv += term
         _zero_walls(conv, d)
         out.append(conv)
     return VectorField(g, out)
@@ -260,41 +306,60 @@ def convection_upwind(A: VectorField, U: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def diffusion_resolvent(U: VectorField, eps: float) -> VectorField:
+def _resolvent_axes(grid: Grid, d: int) -> list:
+    """Per axis of velocity component ``d``: (forward DST type, inverse DST
+    type, sine modes).  Sine modes along the component's own axis (DST-I),
+    half-offset sine modes tangentially (DST-II/III pair)."""
+    return [
+        (1, 1, range(1, N)) if e == d else (2, 3, range(1, N + 1))
+        for e, N in enumerate(grid.cells)
+    ]
+
+
+def _resolvent_denominators(grid: Grid, eps: float) -> list:
+    """``1 + eps * lambda`` in transform space, one array per component."""
+    return [
+        1.0
+        + eps
+        * separable_eigenvalues(
+            [
+                stencil_eigenvalues(N, h, modes)
+                for N, h, (_, _, modes) in zip(grid.cells, grid.spacing, _resolvent_axes(grid, d))
+            ]
+        )
+        for d in range(grid.dim)
+    ]
+
+
+def diffusion_resolvent(U: VectorField, eps: float, denominators=None) -> VectorField:
     """Exact componentwise solve of ``(I - eps*Lap) v = u`` with no-slip walls.
 
     The staggered no-slip Laplacian is separable: sine modes along the
     component's own axis (DST-I) and half-offset sine modes tangentially
     (DST-II/III pair), so the resolvent is a diagonal scaling in transform
-    space.
+    space.  ``denominators`` may carry the scaling,
+    ``PoissonSolver.resolvent_denominators(eps)`` for ``U``'s grid.
     """
     if eps == 0.0:
         return U
     g = U.grid
+    if denominators is None:
+        denominators = _resolvent_denominators(g, eps)
     out = []
     for d in range(g.dim):
-        # per axis: (forward DST type, inverse DST type, sine modes)
-        axes = [
-            (1, 1, range(1, N)) if e == d else (2, 3, range(1, N + 1))
-            for e, N in enumerate(g.cells)
-        ]
+        axes = _resolvent_axes(g, d)
         arr = U.components[d]
         mid = _axis_slices(d, g.dim).mid
         spec = arr[mid]
         for e, (forward, _, _) in enumerate(axes):
-            spec = scipy.fft.dst(spec, type=forward, axis=e, norm="ortho")
-        lam = separable_eigenvalues(
-            [
-                stencil_eigenvalues(N, h, modes)
-                for N, h, (_, _, modes) in zip(g.cells, g.spacing, axes)
-            ]
-        )
-        spec = spec / (1.0 + eps * lam)
+            # the first transform reads the caller's array; later ones own theirs
+            spec = scipy.fft.dst(spec, type=forward, axis=e, norm="ortho", overwrite_x=e > 0)
+        spec /= denominators[d]
         for e, (_, inverse, _) in enumerate(axes):
-            spec = scipy.fft.dst(spec, type=inverse, axis=e, norm="ortho")
-        full = np.zeros_like(arr)
+            spec = scipy.fft.dst(spec, type=inverse, axis=e, norm="ortho", overwrite_x=True)
+        full = np.empty_like(arr)
         full[mid] = spec
-        out.append(full)
+        out.append(_zero_walls(full, d))
     return VectorField(g, out)
 
 
@@ -307,7 +372,7 @@ def yosida_apply(U: VectorField, eps: float, solver: PoissonSolver) -> VectorFie
     """
     if eps == 0.0:
         return U
-    v = diffusion_resolvent(U, eps)
+    v = diffusion_resolvent(U, eps, solver.resolvent_denominators(eps))
     return helmholtz_project(v, solver)
 
 
@@ -317,7 +382,7 @@ def yosida_apply(U: VectorField, eps: float, solver: PoissonSolver) -> VectorFie
 
 
 def divergence_max(U: VectorField) -> float:
-    return float(np.abs(divergence_fc(U).data).max())
+    return _abs_max(divergence_fc(U).data)
 
 
 def _incompressibility_tolerance(U: VectorField, tol: float = 1e-9) -> float:
@@ -359,18 +424,23 @@ def ns_substep(
         a = yosida_apply(u, params.eps, solver)
         conv = convection_upwind(a, u)
     for d in range(g.dim):
-        upd = visc.components[d].copy()
+        # visc - kappa conv + n grad(phi) + forcing, accumulated in place
         if params.kappa != 0.0:
-            upd -= params.kappa * conv.components[d]
+            upd = conv.components[d]
+            upd *= params.kappa
+            np.subtract(visc.components[d], upd, out=upd)
+        else:  # a caller's lap_u is read, never written
+            upd = visc.components[d] if lap_u is None else visc.components[d].copy()
         if params.grad_phi is not None:
             n_face = cells_to_faces(n.data, g, d)
-            upd += n_face * params.grad_phi.components[d]
+            n_face *= params.grad_phi.components[d]
+            upd += n_face
         if forcing is not None:
             coords = g.face_center_mesh(d)
             upd += np.broadcast_to(forcing(coords, t, d), g.face_shape(d))
-        comp = u.components[d] + dt * upd
-        _zero_walls(comp, d)
-        comps.append(comp)
+        upd *= dt
+        upd += u.components[d]
+        comps.append(_zero_walls(upd, d))
     u_star = VectorField(g, comps)
     u_next, q, proj_residual = project_with_potential(u_star, solver)
     P = ScalarField(g, q.data / dt)

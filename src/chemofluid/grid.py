@@ -229,7 +229,7 @@ class VectorField:
         return m
 
     def max_abs(self) -> float:
-        return max(float(np.abs(c).max()) for c in self.components)
+        return max(_abs_max(c) for c in self.components)
 
 
 class AxisSlices(NamedTuple):
@@ -269,6 +269,11 @@ def _axis_slices(axis: int, dim: int) -> AxisSlices:
         first=along(0),
         last=along(-1),
     )
+
+
+def _abs_max(arr: np.ndarray) -> float:
+    """``max |arr|`` from the two extremes, without an ``|arr|`` pass (NaN propagates)."""
+    return max(abs(float(arr.max())), abs(float(arr.min())))
 
 
 def _zero_walls(comp: np.ndarray, axis: int) -> np.ndarray:
@@ -318,14 +323,16 @@ def gradient_cc(f: ScalarField) -> VectorField:
 def divergence_fc(F: VectorField) -> ScalarField:
     """Cell-centered divergence of a face field (telescoping flux form)."""
     g = F.grid
-    out = np.zeros(g.shape)
+    out = np.empty(g.shape)
     term = np.empty(g.shape)
     for d in range(g.dim):
         s = _axis_slices(d, g.dim)
         comp = F.components[d]
-        np.subtract(comp[s.hi], comp[s.lo], out=term)
-        term /= g.spacing[d]
-        out += term
+        dst = out if d == 0 else term  # the first axis goes straight into the output
+        np.subtract(comp[s.hi], comp[s.lo], out=dst)
+        dst /= g.spacing[d]
+        if d > 0:
+            out += term
     return ScalarField(g, out)
 
 
@@ -368,7 +375,9 @@ def cells_to_faces(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """
     s = _axis_slices(axis, grid.dim)
     out = np.empty(grid.face_shape(axis))
-    out[s.mid] = 0.5 * (data[s.lo] + data[s.hi])
+    mid = out[s.mid]
+    np.add(data[s.lo], data[s.hi], out=mid)
+    mid *= 0.5
     out[s.first] = data[s.first]
     out[s.last] = data[s.last]
     return out
@@ -377,7 +386,9 @@ def cells_to_faces(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
 def faces_to_cells(comp: np.ndarray, axis: int) -> np.ndarray:
     """Average the two faces bounding each cell along ``axis``."""
     s = _axis_slices(axis, comp.ndim)
-    return 0.5 * (comp[s.lo] + comp[s.hi])
+    out = np.add(comp[s.lo], comp[s.hi])
+    out *= 0.5
+    return out
 
 
 def face_component_at_faces(
@@ -400,9 +411,11 @@ def upwind_cells_to_faces(
     every caller).
     """
     s = _axis_slices(axis, grid.dim)
-    out = np.zeros(grid.face_shape(axis))
-    out[s.mid] = np.where(carrier[s.mid] > 0.0, data[s.lo], data[s.hi])
-    return out
+    out = np.empty(grid.face_shape(axis))
+    mid = out[s.mid]
+    np.copyto(mid, data[s.hi])
+    np.copyto(mid, data[s.lo], where=carrier[s.mid] > 0.0)
+    return _zero_walls(out, axis)
 
 
 # ---------------------------------------------------------------------------

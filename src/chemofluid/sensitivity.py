@@ -109,7 +109,8 @@ def f_eps(s, eps: float):
         raise ValueError("f_eps requires s >= 0")
     if eps < 0:
         raise ValueError("f_eps requires eps >= 0")
-    out = 1.0 / (1.0 + eps * s) ** 3
+    q = 1.0 + eps * s
+    out = 1.0 / (q * q * q)  # the cube by products, as in the drift kernel
     return float(out) if out.ndim == 0 else out
 
 
@@ -206,6 +207,33 @@ def _clamped_table_matrices(spec: SensitivitySpec, coords, n, c):
     return mats * scale[..., None, None]
 
 
+def _rotated_gradient(grad_c: VectorField, R: np.ndarray, d: int) -> np.ndarray:
+    """``(R grad c)_d`` at the ``d`` faces, off-axis gradients interpolated there.
+
+    A unit row of ``R`` returns ``grad_c.components[d]`` itself, so callers
+    must not write into the result.
+    """
+    g = grad_c.grid
+    own = grad_c.components[d]
+    sg = None
+    for e in range(g.dim):
+        r = R[d, e]
+        if r == 0.0:
+            continue
+        if e == d:
+            term = own if r == 1.0 else own * r
+        else:
+            term = face_component_at_faces(grad_c.components[e], g, e, d)
+            term *= r
+        if sg is None:
+            sg = term
+        elif sg is own:
+            sg = sg + term
+        else:
+            sg += term
+    return sg
+
+
 def _face_drift_components(
     n: ScalarField,
     c: ScalarField,
@@ -257,22 +285,22 @@ def _face_drift_components(
                 sg_up += mats_up[..., d, e] * ge
             drift = rho_faces[d] * f_eps(n_up, reg.eps) * sg_up
         else:
-            # (R grad c)_d at the d faces
-            sg = np.zeros(g.face_shape(d))
-            for e in range(g.dim):
-                if R[d, e] == 0.0:
-                    continue
-                ge = face_component_at_faces(grad_c.components[e], g, e, d)
-                sg += R[d, e] * ge
-            direction = rho_faces[d] * sg
-            n_up = upwind_cells_to_faces(n.data, g, d, direction)
-            drift = (
-                rho_faces[d]
-                * spec.C_S
-                * (1.0 + n_up) ** (-spec.alpha)
-                * f_eps(n_up, reg.eps)
-                * sg
-            )
+            sg = _rotated_gradient(grad_c, R, d)
+            work = np.multiply(rho_faces[d], sg)  # the drift direction
+            n_up = upwind_cells_to_faces(n.data, g, d, work)
+            # rho C_S (1 + n~)^(-alpha) f_eps(n~) (R grad c)_d, one pass per factor
+            drift = np.multiply(rho_faces[d], spec.C_S)
+            np.add(n_up, 1.0, out=work)
+            np.power(work, -spec.alpha, out=work)
+            drift *= work
+            if reg.eps != 0.0:  # f_eps = 1 exactly otherwise
+                np.multiply(n_up, reg.eps, out=work)
+                work += 1.0
+                cube = np.multiply(work, work)
+                cube *= work
+                np.divide(1.0, cube, out=cube)
+                drift *= cube
+            drift *= sg
         _zero_walls(drift, d)  # wall faces never carry chemotactic flux
         n_up_list.append(n_up)
         drift_list.append(drift)

@@ -23,7 +23,15 @@ from .fluid import (
     laplacian_noslip,
     ns_substep,
 )
-from .grid import Grid, ScalarField, VectorField, gradient_cc, integrate, vector_l2_sq
+from .grid import (
+    Grid,
+    ScalarField,
+    VectorField,
+    _abs_max,
+    gradient_cc,
+    integrate,
+    vector_l2_sq,
+)
 from .sensitivity import (
     RegularizationParams,
     SensitivitySpec,
@@ -123,7 +131,7 @@ def _cfl_parts(state: State, params: SimParams, drift=None, rho_faces=None, grad
         drift = _face_drift_components(
             state.n, state.c, params.sensitivity, params.regularization, rho_faces, grad_c
         )
-    vmax = max(float(np.abs(v).max()) for v in drift[1])
+    vmax = max(_abs_max(v) for v in drift[1])
     chemo = hmin / vmax if vmax > 0 else np.inf
     reaction = 0.5
     dt = params.cfl_sigma * min(diff, adv, chemo, reaction)
@@ -155,7 +163,8 @@ def advance(
 ) -> State:
     """One coupled step of size dt (caller guarantees dt <= cfl_dt).
 
-    ``grad_n``, ``grad_c`` and ``lap_u`` may carry the state's precomputed
+    ``drift`` may carry the state's chemotactic face states from the CFL
+    evaluation, and ``grad_n``, ``grad_c`` and ``lap_u`` its precomputed
     ``gradient_cc(n)``, ``gradient_cc(c)`` and ``laplacian_noslip(u)``; each
     is dropped after its last use.
     """
@@ -177,7 +186,7 @@ def advance(
         t=t,
         grad_n=grad_n,
     )
-    grad_n = None
+    drift = grad_n = None
     c1 = step_c(state.c, state.n, state.u, dt, forcing=params.forcing_c, t=t, grad_c=grad_c)
     grad_c = None
     u1, P1, _ = ns_substep(
@@ -301,15 +310,17 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
             derivs = list(derivs or (None, gradient_cc(state.c), None))
             dt, drift = _cfl_parts(state, params, rho_faces=rho_faces, grad_c=derivs[1])
             dt = min(dt, params.T - state.t)
+            derivs.append(drift)
+            drift = None
             # popped into the call so that advance holds the only references
-            # and frees each derivative after its last use
+            # and frees the drift and each derivative after its last use
             state = advance(
                 state,
                 params,
                 dt,
                 solver,
                 rho_faces,
-                drift,
+                drift=derivs.pop(),
                 lap_u=derivs.pop(),
                 grad_c=derivs.pop(),
                 grad_n=derivs.pop(),

@@ -54,7 +54,8 @@ def advective_flux(q: ScalarField, u: VectorField) -> VectorField:
     comps = []
     for d in range(g.dim):
         q_up = upwind_cells_to_faces(q.data, g, d, u.components[d])
-        comps.append(q_up * u.components[d])
+        q_up *= u.components[d]
+        comps.append(q_up)
     return VectorField(g, comps)
 
 
@@ -133,13 +134,17 @@ def step_n(
 
     flux = gradient_cc(n) if grad_n is None else grad_n
     adv = advective_flux(n, u)
-    comps = [
-        flux.components[d] - n_up[d] * vel[d] - adv.components[d] for d in range(g.dim)
-    ]
-    div = divergence_fc(VectorField(g, comps))
-    data = n.data + dt * div.data
+    comps = []
+    for d in range(g.dim):  # grad n - n~ drift - n~ u, accumulated in place
+        comp = np.multiply(n_up[d], vel[d])
+        np.subtract(flux.components[d], comp, out=comp)
+        comp -= adv.components[d]
+        comps.append(comp)
+    data = divergence_fc(VectorField(g, comps)).data
+    data *= dt
+    data += n.data
     if forcing is not None:
-        data = data + dt * np.broadcast_to(forcing(g.cell_center_mesh(), t), g.shape)
+        data += dt * np.broadcast_to(forcing(g.cell_center_mesh(), t), g.shape)
     out = ScalarField(g, data)
     out.check_finite("n")
     if forcing is None:
@@ -170,11 +175,15 @@ def step_c(
 
     flux = gradient_cc(c) if grad_c is None else grad_c
     adv = advective_flux(c, u)
-    comps = [flux.components[d] - adv.components[d] for d in range(g.dim)]
-    div = divergence_fc(VectorField(g, comps))
-    data = c.data + dt * (div.data - c.data + n.data)
+    for d in range(g.dim):  # grad c - c~ u, in place
+        np.subtract(flux.components[d], adv.components[d], out=adv.components[d])
+    data = divergence_fc(adv).data
+    data -= c.data
+    data += n.data
+    data *= dt
+    data += c.data
     if forcing is not None:
-        data = data + dt * np.broadcast_to(forcing(g.cell_center_mesh(), t), g.shape)
+        data += dt * np.broadcast_to(forcing(g.cell_center_mesh(), t), g.shape)
     out = ScalarField(g, data)
     out.check_finite("c")
     return out

@@ -33,6 +33,8 @@ from chemofluid.verify import (
     scenario_library,
 )
 
+pytestmark = pytest.mark.acceptance
+
 CELLS = (64, 64)
 
 

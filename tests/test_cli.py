@@ -14,6 +14,7 @@ from chemofluid.cli import (
     read_csv,
     serialize_config,
 )
+from chemofluid.diagnostics import CSV_COLUMNS
 
 MINIMAL = """
 [grid]
@@ -25,6 +26,16 @@ extents = 1.0,1.0
 T = 0.004
 scenario = bump_n
 """
+
+# malformed series files for `chemofluid rates`, by file name
+RATES_INPUTS = {
+    "header_only.csv": "t,x\n",
+    "no_rows.csv": ",".join(CSV_COLUMNS) + "\n",
+    "empty.csv": "",
+    "text_cell.csv": "t,lyapunov\n0,1\n0.1,abc\n",
+    "ragged.csv": "t,lyapunov\n0,1\n0.1\n",
+    "good.csv": "t,lyapunov\n0,1\n0.1,0.5\n",
+}
 
 
 class TestParseConfig:
@@ -159,6 +170,12 @@ class TestRunCommand:
             (["mms", "--resolutions", "8,12"], "at least 3 resolutions"),
             (["run", "--config", "{tmp}/missing.cfg"], "cannot read"),
             (["rates", "--csv", "{tmp}/missing.csv"], "cannot read"),
+            (["rates", "--csv", "{tmp}/header_only.csv"], "missing column(s) lyapunov"),
+            (["rates", "--csv", "{tmp}/no_rows.csv"], "no data rows"),
+            (["rates", "--csv", "{tmp}/empty.csv"], "no header line"),
+            (["rates", "--csv", "{tmp}/text_cell.csv"], "line 3: a field is not a number"),
+            (["rates", "--csv", "{tmp}/ragged.csv"], "line 3: 1 fields, the header has 2"),
+            (["rates", "--csv", "{tmp}/good.csv", "--columns", "bogus"], "missing column(s) bogus"),
         ],
         ids=[
             "run-dim3",
@@ -169,10 +186,18 @@ class TestRunCommand:
             "mms-two-resolutions",
             "run-missing-config",
             "rates-missing-csv",
+            "rates-header-only",
+            "rates-no-rows",
+            "rates-empty-csv",
+            "rates-text-cell",
+            "rates-ragged-row",
+            "rates-missing-column",
         ],
     )
     def test_grid_shape_error_exit_code(self, tmp_path, capsys, argv, message):
         cfg = self._write_cfg(tmp_path, MINIMAL.replace("dim = 2", "dim = 3"))
+        for name, body in RATES_INPUTS.items():
+            (tmp_path / name).write_text(body)
         argv = [a.format(cfg=cfg, tmp=tmp_path) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err

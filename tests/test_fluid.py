@@ -21,6 +21,7 @@ from chemofluid.fluid import (
 from chemofluid.grid import (
     ScalarField,
     VectorField,
+    face_component_at_faces,
     gradient_cc,
     laplacian_neumann,
     make_grid,
@@ -119,6 +120,18 @@ class TestProjection:
         out = helmholtz_project(w, solver)
         assert np.sqrt(vector_l2_sq(out)) <= 1e-8 * np.sqrt(vector_l2_sq(w))
 
+    @pytest.mark.parametrize("cells", [(32, 32), (12, 10, 8)])
+    def test_subtracts_the_gradient_of_its_potential_bitwise(self, cells, rng):
+        # the projection reuses the certificate's gradient: it must be
+        # exactly gradient_cc of the potential it returns
+        g = make_grid(len(cells), (1.0,) * len(cells), cells)
+        w = random_vector(g, rng)
+        solver = PoissonSolver(g)
+        out, q, _ = project_with_potential(w, solver)
+        for wc, gc, oc in zip(w.components, gradient_cc(q).components, out.components):
+            assert (wc - gc).tobytes() == oc.tobytes()
+        assert solver._handoff is None  # nothing of the solve stays on the solver
+
     def test_divergence_free_fixed(self, grid2d, rng):
         solver = PoissonSolver(grid2d)
         w = helmholtz_project(random_vector(grid2d, rng), solver)
@@ -213,6 +226,69 @@ class TestNoSlipOperators:
             ratios.append(num / den)
         assert max(ratios) <= 10.0
         assert ratios[-1] <= 2.0 * ratios[0] + 1e-12
+
+
+def _odd_ghosts(arr, axis):
+    """``arr`` with one ghost layer per side along ``axis``, the negated wall slice."""
+    a = np.moveaxis(arr, axis, 0)
+    return np.moveaxis(np.concatenate([-a[:1], a, -a[-1:]]), 0, axis)
+
+
+def _along(axis, dim, index):
+    sl = [slice(None)] * dim
+    sl[axis] = index
+    return tuple(sl)
+
+
+def _stencil(axis, dim):
+    """Index tuples of a 3-point stencil's centre, upper and lower neighbours."""
+    return tuple(_along(axis, dim, i) for i in (slice(1, -1), slice(2, None), slice(None, -2)))
+
+
+class TestKernelsBitEqualToGhosts:
+    """The in-place no-slip kernels reproduce the plain ghost-padded expressions bit for bit."""
+
+    CASES = [((1.0, 0.7), (16, 12)), ((1.0, 0.7, 0.9), (8, 6, 5))]
+
+    @staticmethod
+    def _fields(extents, cells, rng):
+        g = make_grid(len(cells), extents, cells)
+        return g, random_vector(g, rng), random_vector(g, rng)
+
+    @pytest.mark.parametrize("extents, cells", CASES)
+    def test_laplacian_noslip(self, extents, cells, rng):
+        g, U, _ = self._fields(extents, cells, rng)
+        got = laplacian_noslip(U)
+        for d, arr in enumerate(U.components):
+            ref = np.zeros_like(arr)
+            for e in range(g.dim):
+                mid, hi2, lo2 = _stencil(e, g.dim)
+                src, dst = (arr, mid) if e == d else (_odd_ghosts(arr, e), ...)
+                ref[dst] += (src[hi2] - 2.0 * src[mid] + src[lo2]) / g.spacing[e] ** 2
+            ref[_along(d, g.dim, 0)] = ref[_along(d, g.dim, -1)] = 0.0
+            assert got.components[d].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("extents, cells", CASES)
+    def test_convection_upwind(self, extents, cells, rng):
+        g, A, U = self._fields(extents, cells, rng)
+        got = convection_upwind(A, U)
+        for d, arr in enumerate(U.components):
+            ref = np.zeros_like(arr)
+            for e in range(g.dim):
+                a_e = face_component_at_faces(A.components[e], g, e, d)
+                if e == d:
+                    bwd, fwd = np.zeros_like(arr), np.zeros_like(arr)
+                    diff = np.diff(arr, axis=e) / g.spacing[e]
+                    bwd[_along(e, g.dim, slice(1, None))] = diff
+                    fwd[_along(e, g.dim, slice(None, -1))] = diff
+                else:
+                    pad = _odd_ghosts(arr, e)
+                    mid, hi2, lo2 = _stencil(e, g.dim)
+                    bwd = (pad[mid] - pad[lo2]) / g.spacing[e]
+                    fwd = (pad[hi2] - pad[mid]) / g.spacing[e]
+                ref += a_e * np.where(a_e > 0.0, bwd, fwd)
+            ref[_along(d, g.dim, 0)] = ref[_along(d, g.dim, -1)] = 0.0
+            assert got.components[d].tobytes() == ref.tobytes()
 
 
 class TestNsSubstep:
