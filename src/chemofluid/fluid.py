@@ -1,17 +1,20 @@
 """Incompressible flow: projection, Yosida smoothing, and the momentum substep.
 
-The velocity update is a Chorin-style split: an explicit viscous + convective
-+ forcing step produces a tentative field, which a discrete Helmholtz
-projection returns to the divergence-free subspace.  Because the projection
-subtracts ``gradient_cc`` of a pressure potential and the divergence is taken
-by the same flux-form operator, the post-projection divergence is controlled
+The velocity update is a Chorin-style split: explicit convection, buoyancy
+and forcing produce a tentative field, a backward-Euler viscous solve
+``(I - dt*Lap)^{-1}`` smooths it, and a discrete Helmholtz projection returns
+it to the divergence-free subspace.  Because the projection subtracts
+``gradient_cc`` of a pressure potential and the divergence is taken by the
+same flux-form operator, the post-projection divergence is controlled
 directly by the Poisson residual.  The pressure Poisson problem is solved
 directly by fast cosine transforms and certified by one residual check.
 
-Convection transports with the Yosida-smoothed velocity ``(I + eps*A)^{-1} u``,
-realized as a componentwise Helmholtz resolvent ``(I - eps*Lap)^{-1}`` with
-no-slip walls followed by a projection.  The resolvent is separable on the
-staggered grid and is solved exactly by fast sine transforms.
+Every linear solve here is diagonal in one spectral core: the zero-flux cell
+Laplacian in cosine modes, the no-slip componentwise Laplacian in sine
+modes.  The same resolvent ``(I - coef*Lap)^{-1}`` serves backward-Euler
+diffusion (``coef = dt``, for n and c in cosine modes and for u in sine
+modes) and the Yosida smoothing of the convecting velocity
+``(I + eps*A)^{-1} u`` (``coef = eps``, sine modes, then a projection).
 """
 
 from __future__ import annotations
@@ -97,20 +100,44 @@ class PoissonSolver:
     roundoff level ``8 eps lambda_max ||q||`` (``lambda_max`` the largest
     eigenvalue), which otherwise outgrows a fixed ``tol`` like ``N^2``.  A
     direct solve makes no iterations: ``last_iterations`` is 0.
+
+    The solver is also the run's spectral core for the resolvents
+    ``(I - coef*Lap)^{-1}``: it holds the 1-D eigenvalue tables and one
+    field-sized buffer for their denominators (``resolvent_denominators``),
+    and applies the zero-flux one itself (``neumann_resolvent``).
     """
 
     def __init__(self, grid: Grid, tol: float = 1e-10):
         self.grid = grid
         self.tol = tol
-        lam = separable_eigenvalues(
-            [stencil_eigenvalues(N, h, range(N)) for N, h in zip(grid.cells, grid.spacing)]
-        )
+        axes = list(zip(grid.cells, grid.spacing))
+        # the 1-D tables of the spectral core: cosine modes 0..N-1, and sine
+        # modes 1..N (DST-II) whose first N-1 entries are the DST-I modes
+        cosine = [stencil_eigenvalues(N, h, range(N)) for N, h in axes]
+        sine = [stencil_eigenvalues(N, h, range(1, N + 1)) for N, h in axes]
+        lam = separable_eigenvalues(cosine)
         self._roundoff = 8.0 * np.finfo(np.float64).eps * float(lam.max())
         lam.flat[0] = np.inf  # constant nullspace: its coefficient maps to zero
         self._inv_eigs = 1.0 / lam
         self.last_iterations = 0
         self.last_residual = 0.0
-        self._resolvent = {}  # eps -> resolvent_denominators(eps)
+        # one buffer for every resolvent's denominators (no spectrum holds
+        # more entries than there are cells), and per operator its tables,
+        # shaped to broadcast, and its view of that buffer: the cell
+        # Laplacian (None) and the no-slip Laplacian of each component
+        buffer = np.empty(grid.n_cells)
+        self._spectra = {}
+        for component in (None, *range(grid.dim)):
+            tables = cosine if component is None else [
+                table[: N - 1] if e == component else table
+                for e, (table, N) in enumerate(zip(sine, grid.cells))
+            ]
+            shape = tuple(len(t) for t in tables)
+            self._spectra[component] = (
+                [t.reshape((-1,) + (1,) * (grid.dim - 1 - e)) for e, t in enumerate(tables)],
+                buffer[: int(np.prod(shape))].reshape(shape),
+            )
+        self._denominators_of = None  # (coef, component) the buffer holds
         self._handoff = None  # (q, gradient_cc(q)) of the last solve, until taken
 
     def solve(self, b: np.ndarray, abs_target: float = None) -> np.ndarray:
@@ -159,32 +186,66 @@ class PoissonSolver:
             return handoff[1]
         return gradient_cc(ScalarField(self.grid, q))
 
-    def resolvent_denominators(self, eps: float) -> list:
-        """``1 + eps * lambda`` of the no-slip resolvent, per velocity
-        component, computed once per ``eps`` for this solver's grid."""
-        if eps not in self._resolvent:
-            self._resolvent[eps] = _resolvent_denominators(self.grid, eps)
-        return self._resolvent[eps]
+    def resolvent_denominators(self, coef: float, component: int = None) -> np.ndarray:
+        """``1 + coef * lambda``: the transform-space denominators of the
+        resolvent ``(I - coef*Lap)^{-1}``.
+
+        ``component=None`` takes the zero-flux cell Laplacian (cosine modes),
+        an axis ``d`` the no-slip Laplacian of velocity component ``d`` (sine
+        modes 1..N-1 along ``d``, 1..N tangentially).  The result is formed
+        from the 1-D tables into the solver's one reusable buffer and stays
+        valid until a call with another ``(coef, component)``.
+        """
+        tables, out = self._spectra[component]
+        if self._denominators_of != (coef, component):
+            first = coef * tables[0]
+            first += 1.0
+            np.add(first, coef * tables[1], out=out)
+            for t in tables[2:]:
+                out += coef * t
+            self._denominators_of = (coef, component)
+        return out
+
+    def neumann_resolvent(self, data: np.ndarray, coef: float) -> np.ndarray:
+        """``(I - coef*Lap)^{-1} data`` with zero-flux walls, overwriting ``data``.
+
+        One DCT-II, a division by ``resolvent_denominators(coef)`` and one
+        DCT-III.  The transforms carry only the deviation from the mean: the
+        mean's multiplier is 1, so it is taken out of the spectrum and added
+        back afterwards.  A constant field comes back exactly, and the cell
+        sum moves only by the roundoff of the deviation.
+        """
+        anchor = float(data.flat[0])
+        data -= anchor
+        spec = scipy.fft.dctn(data, type=2, norm="ortho", overwrite_x=True)
+        mean = anchor + float(spec.flat[0]) / np.sqrt(spec.size)
+        spec.flat[0] = 0.0
+        spec /= self.resolvent_denominators(coef)
+        out = scipy.fft.dctn(spec, type=3, norm="ortho", overwrite_x=True)
+        out += mean
+        return out
 
 
 @dataclass
 class FluidParams:
     """Convection strength, Yosida smoothing, and the gravitational potential.
 
-    ``phi`` is fixed for a run; its face gradient is precomputed here.
-    ``kappa = 0`` is the Stokes limit: convection (and with it the Yosida
-    smoothing) is bypassed entirely.
+    ``phi`` is fixed for a run; its face gradient and its mean are
+    precomputed here.  ``kappa = 0`` is the Stokes limit: convection (and
+    with it the Yosida smoothing) is bypassed entirely.
     """
 
     kappa: float = 0.0
     eps: float = 0.0
     phi: ScalarField = None
     grad_phi: VectorField = field(init=False, default=None, repr=False)
+    phi_mean: float = field(init=False, default=0.0, repr=False)
 
     def __post_init__(self):
         if self.phi is not None:
             self.phi.check_finite("phi")
             self.grad_phi = gradient_cc(self.phi)
+            self.phi_mean = self.phi.mean()
 
 
 def project_with_potential(w: VectorField, solver: PoissonSolver):
@@ -256,14 +317,9 @@ def laplacian_noslip(U: VectorField) -> VectorField:
     return VectorField(g, out)
 
 
-def dirichlet_energy(U: VectorField, lap=None) -> float:
-    """Discrete ``integral |grad u|^2`` as the no-slip Dirichlet form ``-<u, Lap u>``.
-
-    ``lap`` may carry a precomputed ``laplacian_noslip(U)``.
-    """
-    if lap is None:
-        lap = laplacian_noslip(U)
-    return -vector_inner(U, lap)
+def dirichlet_energy(U: VectorField) -> float:
+    """Discrete ``integral |grad u|^2`` as the no-slip Dirichlet form ``-<u, Lap u>``."""
+    return -vector_inner(U, laplacian_noslip(U))
 
 
 def convection_upwind(A: VectorField, U: VectorField) -> VectorField:
@@ -302,60 +358,42 @@ def convection_upwind(A: VectorField, U: VectorField) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# Yosida smoothing
+# No-slip resolvent and Yosida smoothing
 # ---------------------------------------------------------------------------
 
 
 def _resolvent_axes(grid: Grid, d: int) -> list:
     """Per axis of velocity component ``d``: (forward DST type, inverse DST
-    type, sine modes).  Sine modes along the component's own axis (DST-I),
-    half-offset sine modes tangentially (DST-II/III pair)."""
-    return [
-        (1, 1, range(1, N)) if e == d else (2, 3, range(1, N + 1))
-        for e, N in enumerate(grid.cells)
-    ]
+    type).  Sine modes along the component's own axis (DST-I), half-offset
+    sine modes tangentially (DST-II/III pair)."""
+    return [(1, 1) if e == d else (2, 3) for e in range(grid.dim)]
 
 
-def _resolvent_denominators(grid: Grid, eps: float) -> list:
-    """``1 + eps * lambda`` in transform space, one array per component."""
-    return [
-        1.0
-        + eps
-        * separable_eigenvalues(
-            [
-                stencil_eigenvalues(N, h, modes)
-                for N, h, (_, _, modes) in zip(grid.cells, grid.spacing, _resolvent_axes(grid, d))
-            ]
-        )
-        for d in range(grid.dim)
-    ]
-
-
-def diffusion_resolvent(U: VectorField, eps: float, denominators=None) -> VectorField:
-    """Exact componentwise solve of ``(I - eps*Lap) v = u`` with no-slip walls.
+def diffusion_resolvent(U: VectorField, coef: float, solver: PoissonSolver = None) -> VectorField:
+    """Exact componentwise solve of ``(I - coef*Lap) v = u`` with no-slip walls.
 
     The staggered no-slip Laplacian is separable: sine modes along the
     component's own axis (DST-I) and half-offset sine modes tangentially
     (DST-II/III pair), so the resolvent is a diagonal scaling in transform
-    space.  ``denominators`` may carry the scaling,
-    ``PoissonSolver.resolvent_denominators(eps)`` for ``U``'s grid.
+    space by ``solver.resolvent_denominators(coef, d)``.  Only the interior
+    faces of ``U`` are read; the walls of the result are zero.
     """
-    if eps == 0.0:
+    if coef == 0.0:
         return U
     g = U.grid
-    if denominators is None:
-        denominators = _resolvent_denominators(g, eps)
+    if solver is None:
+        solver = PoissonSolver(g)
     out = []
     for d in range(g.dim):
         axes = _resolvent_axes(g, d)
         arr = U.components[d]
         mid = _axis_slices(d, g.dim).mid
         spec = arr[mid]
-        for e, (forward, _, _) in enumerate(axes):
+        for e, (forward, _) in enumerate(axes):
             # the first transform reads the caller's array; later ones own theirs
             spec = scipy.fft.dst(spec, type=forward, axis=e, norm="ortho", overwrite_x=e > 0)
-        spec /= denominators[d]
-        for e, (_, inverse, _) in enumerate(axes):
+        spec /= solver.resolvent_denominators(coef, d)
+        for e, (_, inverse) in enumerate(axes):
             spec = scipy.fft.dst(spec, type=inverse, axis=e, norm="ortho", overwrite_x=True)
         full = np.empty_like(arr)
         full[mid] = spec
@@ -372,7 +410,7 @@ def yosida_apply(U: VectorField, eps: float, solver: PoissonSolver) -> VectorFie
     """
     if eps == 0.0:
         return U
-    v = diffusion_resolvent(U, eps, solver.resolvent_denominators(eps))
+    v = diffusion_resolvent(U, eps, solver)
     return helmholtz_project(v, solver)
 
 
@@ -399,52 +437,62 @@ def ns_substep(
     solver: PoissonSolver,
     forcing=None,
     t: float = 0.0,
-    lap_u=None,
 ):
-    """One explicit momentum step followed by projection.
+    """One momentum step: explicit convection, buoyancy and forcing, then
+    backward-Euler viscosity and the projection.
 
-    Returns ``(u_next, P, proj_residual)`` where the pressure is the
-    projection potential divided by ``dt``.  ``forcing``, when given, is a
-    callable ``forcing(coords, t, component) -> array`` sampled at face
-    centers (manufactured-solution studies).  ``lap_u`` may carry a
-    precomputed ``laplacian_noslip(u)``.
+    ``u* = u + dt (-kappa (Y u . grad) u + (n - n_mean) grad(phi) + f)`` goes
+    through the no-slip resolvent ``(I - dt*Lap)^{-1}`` and is projected.  The
+    buoyancy's remaining part ``n_mean grad(phi)`` is the exact discrete
+    gradient of ``n_mean phi``: the projection would absorb it, but the
+    resolvent would first turn it into a spurious wall flow, so it goes to
+    the pressure directly.  Returns ``(u_next, P, proj_residual)`` with
+    ``P = q / dt + n_mean (phi - mean(phi))``, ``q`` the projection
+    potential.  ``forcing``, when given, is a callable
+    ``forcing(coords, t, component) -> array`` sampled at face centers
+    (manufactured-solution studies).
     """
     g = u.grid
     if divergence_max(u) > _incompressibility_tolerance(u):
         raise ValueError(
             f"ns_substep requires a divergence-free input (max div = {divergence_max(u):.3e})"
         )
-    visc_limit = 0.5 / sum(1.0 / h**2 for h in g.spacing)
-    if dt > visc_limit:
-        raise ValueError(f"dt={dt} exceeds the explicit viscous stability limit {visc_limit}")
-
-    visc = laplacian_noslip(u) if lap_u is None else lap_u
-    comps = []
     if params.kappa != 0.0:
-        a = yosida_apply(u, params.eps, solver)
-        conv = convection_upwind(a, u)
+        conv = convection_upwind(yosida_apply(u, params.eps, solver), u)
+    if params.grad_phi is not None:
+        # anchored at one cell, so that a constant n has no buoyancy at all
+        anchor = float(n.data.flat[0])
+        nbar = anchor + float((n.data - anchor).mean())
+    comps = []
     for d in range(g.dim):
-        # visc - kappa conv + n grad(phi) + forcing, accumulated in place
+        # -kappa conv + (n - n_mean) grad(phi) + forcing, accumulated in place
+        upd = None
         if params.kappa != 0.0:
             upd = conv.components[d]
-            upd *= params.kappa
-            np.subtract(visc.components[d], upd, out=upd)
-        else:  # a caller's lap_u is read, never written
-            upd = visc.components[d] if lap_u is None else visc.components[d].copy()
+            upd *= -params.kappa
         if params.grad_phi is not None:
             n_face = cells_to_faces(n.data, g, d)
+            n_face -= nbar
             n_face *= params.grad_phi.components[d]
-            upd += n_face
+            upd = n_face if upd is None else np.add(upd, n_face, out=upd)
         if forcing is not None:
-            coords = g.face_center_mesh(d)
-            upd += np.broadcast_to(forcing(coords, t, d), g.face_shape(d))
+            f = np.broadcast_to(forcing(g.face_center_mesh(d), t, d), g.face_shape(d))
+            upd = f.copy() if upd is None else np.add(upd, f, out=upd)
+        if upd is None:
+            comps.append(u.components[d])
+            continue
         upd *= dt
         upd += u.components[d]
-        comps.append(_zero_walls(upd, d))
-    u_star = VectorField(g, comps)
+        comps.append(upd)
+    u_star = diffusion_resolvent(VectorField(g, comps), dt, solver)
     u_next, q, proj_residual = project_with_potential(u_star, solver)
-    P = ScalarField(g, q.data / dt)
-    return u_next, P, proj_residual
+    P = q.data
+    P /= dt
+    if params.grad_phi is not None:
+        pot = params.phi.data - params.phi_mean
+        pot *= nbar
+        P += pot
+    return u_next, ScalarField(g, P), proj_residual
 
 
 def energy_identity_residual(

@@ -1,7 +1,10 @@
 """Coupled time integration of (n, c, u) with CFL control and diagnostics.
 
 One step advances the scalars with the beginning-of-step velocity, then the
-velocity with the fresh density (weak-coupling first-order splitting).  The
+velocity with the fresh density (weak-coupling first-order splitting).  Each
+field takes its transport, reaction and forcing explicitly and its diffusion
+by backward Euler (an IMEX splitting), so the step size is set by accuracy,
+``dt <= sigma h^2 / 2``, and by the explicit terms' limits.  The
 homogeneous state (n_mean, n_mean, 0) is a discrete fixed point, mass of n is
 conserved exactly, and the stepwise bound on the c mass is asserted at
 runtime.  Identical parameters and initial data reproduce trajectories
@@ -20,7 +23,6 @@ from .fluid import (
     PoissonSolver,
     SolverFailure,
     helmholtz_project,
-    laplacian_noslip,
     ns_substep,
 )
 from .grid import (
@@ -122,9 +124,12 @@ class State:
 
 
 def _cfl_parts(state: State, params: SimParams, drift=None, rho_faces=None, grad_c=None):
+    """``[dt, drift]``: the step size and the chemotactic face states it read."""
     g = params.grid
     hmin = min(g.spacing)
-    diff = hmin**2 / (2.0 * g.dim)
+    # backward-Euler diffusion is stable at any dt; h^2/2 keeps its O(dt)
+    # error level with the O(h^2) spatial error, in any dimension
+    diff = hmin**2 / 2.0
     umax = state.u.max_abs()
     adv = hmin / umax if umax > 0 else np.inf
     if drift is None:
@@ -135,12 +140,12 @@ def _cfl_parts(state: State, params: SimParams, drift=None, rho_faces=None, grad
     chemo = hmin / vmax if vmax > 0 else np.inf
     reaction = 0.5
     dt = params.cfl_sigma * min(diff, adv, chemo, reaction)
-    return dt, drift
+    return [dt, drift]
 
 
 def cfl_dt(state: State, params: SimParams) -> float:
-    """Stable step size: sigma times the tightest of the diffusion, advection,
-    chemotactic-drift, and reaction limits."""
+    """Step size: sigma times the tightest of the diffusion accuracy cap
+    ``h^2/2`` and the advection, chemotactic-drift and reaction limits."""
     state.n.check_finite("n")
     state.c.check_finite("c")
     state.u.check_finite("u")
@@ -157,16 +162,11 @@ def advance(
     solver: PoissonSolver = None,
     rho_faces=None,
     drift=None,
-    grad_n=None,
-    grad_c=None,
-    lap_u=None,
 ) -> State:
     """One coupled step of size dt (caller guarantees dt <= cfl_dt).
 
     ``drift`` may carry the state's chemotactic face states from the CFL
-    evaluation, and ``grad_n``, ``grad_c`` and ``lap_u`` its precomputed
-    ``gradient_cc(n)``, ``gradient_cc(c)`` and ``laplacian_noslip(u)``; each
-    is dropped after its last use.
+    evaluation; it is dropped after its last use.
     """
     if solver is None:
         solver = PoissonSolver(params.grid)
@@ -184,17 +184,26 @@ def advance(
         drift=drift,
         forcing=params.forcing_n,
         t=t,
-        grad_n=grad_n,
+        solver=solver,
     )
-    drift = grad_n = None
-    c1 = step_c(state.c, state.n, state.u, dt, forcing=params.forcing_c, t=t, grad_c=grad_c)
-    grad_c = None
-    u1, P1, _ = ns_substep(
-        state.u, n1, params.fluid, dt, solver, forcing=params.forcing_u, t=t, lap_u=lap_u
-    )
+    drift = None
+    c1 = step_c(state.c, state.n, state.u, dt, forcing=params.forcing_c, t=t, solver=solver)
+    u1, P1, _ = ns_substep(state.u, n1, params.fluid, dt, solver, forcing=params.forcing_u, t=t)
     out = State(t=t + dt, n=n1, c=c1, u=u1, P=P1)
     out.validate()
     return out
+
+
+def _step_size(dt: float, remaining: float) -> float:
+    """The step to take with ``remaining`` time left: a last step takes all
+    of it, and a remainder under two steps is split evenly in two, so that
+    no step is a sliver (``P = q/dt`` would turn its roundoff into a huge
+    pressure)."""
+    if remaining <= dt:
+        return remaining
+    if remaining < 2.0 * dt:
+        return 0.5 * remaining
+    return dt
 
 
 @dataclass
@@ -226,11 +235,9 @@ class _SeriesBuilder:
         self.rows = {k: [] for k in diagnostics.CSV_COLUMNS}
 
     def record(self, state: State, nbar0, alpha, lyap_B, dt, proj_residual):
-        """Append one row; return the state's ``(grad_n, grad_c, lap_u)``,
-        computed once here, for the next step to reuse."""
-        grad_n = gradient_cc(state.n)
+        """Append one row; return the state's ``gradient_cc(c)``, computed
+        once here, for the next step's drift to reuse."""
         grad_c = gradient_cc(state.c)
-        lap_u = laplacian_noslip(state.u)
         g = state.n.grid
         vol = g.volume_element
         r = self.rows
@@ -248,7 +255,7 @@ class _SeriesBuilder:
         r["grad_c_l2"].append(gnorms.l2_sq)
         r["grad_c_l4"].append(gnorms.l4_4)
         r["lyapunov"].append(0.5 * lyap_B * l2n + 0.5 * l2c)
-        diss = dissipation_integrals(state.n, state.c, state.u, alpha, grad_n, grad_c, lap_u)
+        diss = dissipation_integrals(state.n, state.c, state.u, alpha, grad_c)
         r["D_n"].append(diss.D_n)
         r["D_c"].append(diss.D_c)
         r["D_u"].append(diss.D_u)
@@ -257,7 +264,7 @@ class _SeriesBuilder:
         r["u_inf"].append(state.u.max_abs())
         r["dt"].append(dt)
         r["proj_residual"].append(proj_residual)
-        return grad_n, grad_c, lap_u
+        return grad_c
 
     def build(self):
         return diagnostics.DiagnosticsSeries(
@@ -290,7 +297,7 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
 
     rho_faces = rho_on_faces(g, params.regularization)
     builder = _SeriesBuilder()
-    derivs = builder.record(state, nbar0, params.sensitivity.alpha, lyap_B, 0.0, 0.0)
+    grad_c = builder.record(state, nbar0, params.sensitivity.alpha, lyap_B, 0.0, 0.0)
     snapshots = [(0, state)]
 
     forced = (
@@ -305,27 +312,13 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
     max_steps = params.max_steps if params.max_steps is not None else np.inf
     try:
         while state.t < params.T - 1e-14 and step < max_steps:
-            # (grad_n, grad_c, lap_u) of the state: from its recorded row, else
-            # one grad_c that feeds both the drift and step_c
-            derivs = list(derivs or (None, gradient_cc(state.c), None))
-            dt, drift = _cfl_parts(state, params, rho_faces=rho_faces, grad_c=derivs[1])
-            dt = min(dt, params.T - state.t)
-            derivs.append(drift)
-            drift = None
-            # popped into the call so that advance holds the only references
-            # and frees the drift and each derivative after its last use
-            state = advance(
-                state,
-                params,
-                dt,
-                solver,
-                rho_faces,
-                drift=derivs.pop(),
-                lap_u=derivs.pop(),
-                grad_c=derivs.pop(),
-                grad_n=derivs.pop(),
-            )
-            derivs = None
+            # grad_c of the state comes from its recorded row, if it has one
+            cfl = _cfl_parts(state, params, rho_faces=rho_faces, grad_c=grad_c)
+            grad_c = None
+            dt = _step_size(cfl[0], params.T - state.t)
+            # popped into the call so that advance holds the only reference
+            # and frees the drift after its last use
+            state = advance(state, params, dt, solver, rho_faces, drift=cfl.pop())
             step += 1
             if not forced:
                 mass_n = integrate(state.n)
@@ -337,7 +330,7 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
                         f"c mass {mass_c:.6e} exceeded bound {c_mass_bound:.6e}"
                     )
             if step % params.diagnostics_every == 0 or state.t >= params.T - 1e-14:
-                derivs = builder.record(
+                grad_c = builder.record(
                     state, nbar0, params.sensitivity.alpha, lyap_B, dt, solver.last_residual
                 )
             if params.snapshot_every and (

@@ -1,9 +1,12 @@
 """Conservative updates of the cell density n and the chemical c.
 
-Both updates are written in pure flux form, so the cell sum of n is constant
-to roundoff at every step, and the cell sum of c obeys the convex-combination
-bound ``sum(c_next) = (1-dt) sum(c) + dt sum(n)`` exactly.  Advective and
-chemotactic face states are first-order upwinded; diffusion is centered.
+Each update takes its transport (and, for c, the reaction) explicitly in
+pure flux form, then its diffusion by backward Euler: the zero-flux resolvent
+``(I - dt*Lap)^{-1}``, diagonal in cosine modes, whose mean multiplier is 1.
+So the cell sum of n is constant to roundoff at every step, and the cell sum
+of c obeys the convex-combination bound ``sum(c_next) = (1-dt) sum(c) +
+dt sum(n)`` to roundoff.  Advective and chemotactic face states are
+first-order upwinded; the diffusion stencil is centered.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluid import dirichlet_energy
+from .fluid import PoissonSolver, dirichlet_energy
 from .grid import (
     ScalarField,
     VectorField,
@@ -96,10 +99,6 @@ def transport_terms(
     )
 
 
-def _hard_diffusion_limit(grid) -> float:
-    return 0.5 / sum(1.0 / h**2 for h in grid.spacing)
-
-
 def step_n(
     n: ScalarField,
     c: ScalarField,
@@ -111,40 +110,37 @@ def step_n(
     drift=None,
     forcing=None,
     t: float = 0.0,
-    grad_n=None,
+    solver: PoissonSolver = None,
 ) -> ScalarField:
-    """Advance n by diffusion, chemotaxis, and advection in flux form.
+    """Advance n by explicit chemotaxis and advection in flux form, then
+    backward-Euler diffusion.
 
     ``drift`` may carry precomputed ``(n_up, drift)`` face states from the
     CFL evaluation to avoid recomputing the chemotactic velocity, and
-    ``grad_n`` a precomputed ``gradient_cc(n)``.  ``forcing``
-    (manufactured solutions) adds ``dt * f(coords, t)`` and intentionally
-    breaks mass conservation.
+    ``solver`` the run's spectral core for the diffusion resolvent.
+    ``forcing`` (manufactured solutions) adds ``dt * f(coords, t)`` and
+    intentionally breaks mass conservation.
     """
     g = n.grid
     nmax = float(n.data.max(initial=0.0))
     if float(n.data.min()) < -POSITIVITY_SLACK * max(nmax, 1.0):
         raise PositivityError("step_n received negative density", float(n.data.min()))
-    if dt > _hard_diffusion_limit(g):
-        raise ValueError(f"dt={dt} exceeds the diffusion stability limit")
+    if solver is None:
+        solver = PoissonSolver(g)
 
     if drift is None:
         drift = _face_drift_components(n, c, spec, reg, rho_faces)
     n_up, vel = drift
 
-    flux = gradient_cc(n) if grad_n is None else grad_n
     adv = advective_flux(n, u)
-    comps = []
-    for d in range(g.dim):  # grad n - n~ drift - n~ u, accumulated in place
-        comp = np.multiply(n_up[d], vel[d])
-        np.subtract(flux.components[d], comp, out=comp)
-        comp -= adv.components[d]
-        comps.append(comp)
-    data = divergence_fc(VectorField(g, comps)).data
-    data *= dt
+    for comp, n_d, vel_d in zip(adv.components, n_up, vel):  # n~ u + n~ drift, in place
+        comp += np.multiply(n_d, vel_d)
+    data = divergence_fc(adv).data
+    data *= -dt
     data += n.data
     if forcing is not None:
         data += dt * np.broadcast_to(forcing(g.cell_center_mesh(), t), g.shape)
+    data = solver.neumann_resolvent(data, dt)
     out = ScalarField(g, data)
     out.check_finite("n")
     if forcing is None:
@@ -161,29 +157,28 @@ def step_c(
     dt: float,
     forcing=None,
     t: float = 0.0,
-    grad_c=None,
+    solver: PoissonSolver = None,
 ) -> ScalarField:
-    """Advance c by diffusion, advection, decay, and production by n.
+    """Advance c by explicit advection, decay and production by n, then
+    backward-Euler diffusion.
 
-    ``grad_c`` may carry a precomputed ``gradient_cc(c)``.
+    ``solver`` may carry the run's spectral core for the diffusion resolvent.
     """
     g = c.grid
-    if dt > _hard_diffusion_limit(g):
-        raise ValueError(f"dt={dt} exceeds the diffusion stability limit")
     if dt >= 1.0:
         raise ValueError(f"dt={dt} violates the reaction stability bound dt < 1")
+    if solver is None:
+        solver = PoissonSolver(g)
 
-    flux = gradient_cc(c) if grad_c is None else grad_c
     adv = advective_flux(c, u)
-    for d in range(g.dim):  # grad c - c~ u, in place
-        np.subtract(flux.components[d], adv.components[d], out=adv.components[d])
     data = divergence_fc(adv).data
-    data -= c.data
-    data += n.data
-    data *= dt
+    data += c.data
+    data -= n.data
+    data *= -dt
     data += c.data
     if forcing is not None:
         data += dt * np.broadcast_to(forcing(g.cell_center_mesh(), t), g.shape)
+    data = solver.neumann_resolvent(data, dt)
     out = ScalarField(g, data)
     out.check_finite("c")
     return out
@@ -201,9 +196,7 @@ def dissipation_integrals(
     c: ScalarField,
     u: VectorField,
     alpha: float,
-    grad_n=None,
     grad_c=None,
-    lap_u=None,
 ) -> DissipationRecord:
     """Quadratic gradient functionals driving the decay estimates.
 
@@ -211,13 +204,12 @@ def dissipation_integrals(
     to ``2*alpha - 2`` (the exponent vanishes at alpha = 1, where the weight
     is identically one, including at n = 0).  ``D_c`` is the plain face
     Dirichlet sum and ``D_u`` the no-slip Dirichlet form of the velocity.
-    ``grad_n``, ``grad_c`` and ``lap_u`` may carry the precomputed
-    ``gradient_cc(n)``, ``gradient_cc(c)`` and ``laplacian_noslip(u)``.
+    ``grad_c`` may carry a precomputed ``gradient_cc(c)``.
     """
     g = n.grid
     vol = g.volume_element
     expo = 2.0 * alpha - 2.0
-    gn = gradient_cc(n) if grad_n is None else grad_n
+    gn = gradient_cc(n)
     D_n = 0.0
     for d in range(g.dim):
         gd = gn.components[d]
@@ -232,5 +224,5 @@ def dissipation_integrals(
     D_n *= vol
     gc = gradient_cc(c) if grad_c is None else grad_c
     D_c = sum(float((comp * comp).sum()) for comp in gc.components) * vol
-    D_u = dirichlet_energy(u, lap_u)
+    D_u = dirichlet_energy(u)
     return DissipationRecord(D_n=D_n, D_c=D_c, D_u=max(D_u, 0.0))

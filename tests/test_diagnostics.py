@@ -319,7 +319,7 @@ class TestWeakResidual:
             regularization=RegularizationParams(eps=0.1),
             fluid=FluidParams(kappa=1.0, eps=0.1, phi=default_phi(g)),
             T=0.05,
-            snapshot_every=5,
+            snapshot_every=2,  # 32 of the 64 steps: weak_residual needs 16 snapshots
         )
         traj = run(params, State.homogeneous(g, 1.0))
         r = weak_residual(traj)

@@ -1,5 +1,7 @@
 """Projection, Yosida smoothing, and the momentum substep."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -305,13 +307,18 @@ class TestNsSubstep:
         assert np.abs(P.data).max() == 0.0
 
     def test_constant_density_linear_potential_inert(self, grid2d):
-        # gradient forcing from a constant density projects away
-        solver, params = self._solver_params(grid2d, phi_fn=lambda x, y: 0.3 * x + 0.1 * y)
+        # the buoyancy of a constant density is a pure gradient: it goes to
+        # the pressure, P = nbar (phi - mean phi), and u stays exactly 0;
+        # 1.3 is no dyadic fraction, so its cell mean rounds
         u = VectorField.zeros(grid2d)
-        n = ScalarField.full(grid2d, 2.0)
-        dt = 1e-5
-        u1, _, _ = ns_substep(u, n, params, dt, solver)
-        assert u1.max_abs() <= 1e-13
+        for kappa, nbar, dt in itertools.product((0.0, 1.0), (2.0, 1.3), (1e-5, 1.0)):
+            solver, params = self._solver_params(
+                grid2d, phi_fn=lambda x, y: 0.3 * x + 0.1 * y, kappa=kappa
+            )
+            u1, P, _ = ns_substep(u, ScalarField.full(grid2d, nbar), params, dt, solver)
+            assert u1.max_abs() == 0.0
+            expected = nbar * (params.phi.data - params.phi.data.mean())
+            assert np.abs(P.data - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_no_slip_preserved(self, grid2d, rng):
         solver, params = self._solver_params(
@@ -330,12 +337,21 @@ class TestNsSubstep:
         with pytest.raises(ValueError):
             ns_substep(w, ScalarField.zeros(grid2d), params, 1e-5, solver)
 
-    def test_cfl_guard(self, grid2d):
+    def test_unconditionally_stable_viscosity(self, grid2d, rng):
+        # backward Euler at dt = 1, far beyond the old explicit limit: the
+        # kinetic energy never grows, the walls and the divergence stay zero
         solver, params = self._solver_params(grid2d)
-        with pytest.raises(ValueError):
-            ns_substep(
-                VectorField.zeros(grid2d), ScalarField.zeros(grid2d), params, 1.0, solver
-            )
+        u = helmholtz_project(random_vector(grid2d, rng), solver)
+        n = ScalarField.zeros(grid2d)
+        energy = vector_l2_sq(u)
+        for _ in range(5):
+            u, _, _ = ns_substep(u, n, params, 1.0, solver)
+            assert vector_l2_sq(u) <= energy
+            assert u.wall_normal_max() == 0.0
+            assert divergence_max(u) <= 1e-9 * (1 + u.max_abs()) / min(grid2d.spacing)
+            energy = vector_l2_sq(u)
+        zero = VectorField.zeros(grid2d)
+        assert ns_substep(zero, n, params, 1.0, solver)[0].max_abs() == 0.0
 
     def test_stokes_limit_bitwise_eps_independent(self, grid2d, rng):
         # kappa = 0 bypasses convection entirely

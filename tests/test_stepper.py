@@ -35,8 +35,15 @@ class TestCfl:
         g = make_grid(2, (1.0, 1.0), (4, 4))
         params = make_params(g)
         state = State.homogeneous(g, 1.0)
-        # h = 0.25, sigma = 0.4: dt = 0.4 * 0.0625 / 4
-        assert cfl_dt(state, params) == pytest.approx(0.00625, rel=1e-12)
+        # h = 0.25, sigma = 0.4: the accuracy cap dt = 0.4 * 0.0625 / 2
+        assert cfl_dt(state, params) == pytest.approx(0.0125, rel=1e-12)
+
+    def test_diffusion_cap_independent_of_dimension(self):
+        dts = [
+            cfl_dt(State.homogeneous(g, 1.0), make_params(g))
+            for g in (make_grid(2, (1.0, 1.0), (8, 8)), make_grid(3, (1.0, 1.0, 1.0), (8, 8, 8)))
+        ]
+        assert dts[0] == dts[1] == pytest.approx(0.4 * (1.0 / 8) ** 2 / 2, rel=1e-12)
 
     def test_fast_flow_shrinks_dt(self, grid2d):
         params = make_params(grid2d)
@@ -62,9 +69,11 @@ class TestAdvance:
         state = State.homogeneous(grid2d, 1.3)
         solver = PoissonSolver(grid2d)
         out = advance(state, params, cfl_dt(state, params), solver)
-        assert np.abs(out.n.data - 1.3).max() <= 1e-13
-        assert np.abs(out.c.data - 1.3).max() <= 1e-13
-        assert out.u.max_abs() <= 1e-13
+        # exact, although the cell mean of 1.3 rounds: the resolvent and the
+        # buoyancy both anchor the mean at a cell value
+        assert np.array_equal(out.n.data, state.n.data)
+        assert np.array_equal(out.c.data, state.c.data)
+        assert out.u.max_abs() == 0.0
 
     def test_zero_data_stays_zero(self, grid2d):
         params = make_params(grid2d)
@@ -80,6 +89,21 @@ class TestRun:
         assert traj.steps == 1  # single clipped step to land on T
         assert len(traj.series) >= 1
         assert traj.series.t[0] == 0.0
+
+    @pytest.mark.parametrize("extra", [1e-13, 0.3, 0.999])
+    def test_no_sliver_steps(self, grid2d, extra):
+        """The last steps split a remainder under two steps evenly: no step is
+        shorter than half the step before it, and the run lands on T."""
+        state = State.homogeneous(grid2d, 1.0)
+        dt0 = cfl_dt(state, make_params(grid2d))
+        T = (7.0 + extra) * dt0
+        traj = run(make_params(grid2d, T=T), state)
+        assert traj.completed
+        dts = traj.series.dt[1:]  # row 0 is the initial state
+        assert len(dts) == traj.steps == 8  # six whole steps and two halves
+        assert np.all(dts[1:] >= 0.5 * dts[:-1])
+        assert dts.min() >= 0.5 * dt0
+        assert traj.series.t[-1] == pytest.approx(T, rel=1e-14)
 
     def test_steady_diagnostics_constant(self, grid2d):
         params = make_params(grid2d, T=0.003)
@@ -211,3 +235,40 @@ class TestSharedDerivatives:
         assert np.array_equal(final.c.data, state.c.data)
         for a, b in zip(final.u.components, state.u.components):
             assert np.array_equal(a, b)
+
+
+class TestBackwardEuler:
+    def test_first_order_in_time(self):
+        """At 32^2 the final-state error halves when sigma halves.  The
+        reference is the sigma/8 run extrapolated with the sigma/4 run,
+        ``2 x(sigma/8) - x(sigma/4)``, which removes the reference's own O(dt)
+        error: against the plain sigma/8 run a first-order error falls by
+        (7/8)/(3/8) = 2.33 instead of 2."""
+        lib = scenario_library((32, 32))
+
+        def final(sigma):
+            params, initial = lib["random_perturbation"].build(0, T=0.02)
+            params = dataclasses.replace(params, cfl_sigma=sigma, diagnostics_every=10**6)
+            traj = run(params, initial)
+            assert traj.completed
+            f = traj.final_state()
+            return np.concatenate([f.n.data.ravel(), f.c.data.ravel()] + [
+                comp.ravel() for comp in f.u.components
+            ])
+
+        x = {k: final(0.4 / k) for k in (1, 2, 4, 8)}
+        ref = 2.0 * x[8] - x[4]
+        errors = [float(np.abs(x[k] - ref).max()) for k in (1, 2)]
+        assert 1.7 <= errors[0] / errors[1] <= 2.3
+
+    def test_random_perturbation_3d(self):
+        lib = scenario_library((16, 16, 16))
+        params, initial = lib["random_perturbation"].build(0, T=0.1)
+        traj = run(params, initial)
+        assert traj.completed, traj.error
+        s = traj.series
+        assert np.abs(s.mass_n - traj.mass_n0).max() <= 1e-14 * traj.mass_n0
+        final = traj.final_state()
+        assert final.n.data.min() > 0.0 and final.c.data.min() > 0.0
+        L = s.lyapunov
+        assert np.all(L[1:] <= L[:-1] + 1e-12 * L[0])

@@ -48,11 +48,19 @@ class TestStepN:
         with pytest.raises(PositivityError):
             step_n(n, c, VectorField.zeros(grid2d), SPEC, REG, small_dt(grid2d))
 
-    def test_unstable_dt_rejected(self, grid2d):
-        n = ScalarField.full(grid2d, 1.0)
+    def test_unconditionally_stable_diffusion(self, grid2d, rng):
+        # backward Euler at dt = 1, 4096x the old explicit limit, on 0/1 data:
+        # positive, mass exact, maximum principle
+        n = ScalarField(grid2d, np.where(rng.uniform(size=grid2d.shape) > 0.5, 1.0, 0.0))
         c = ScalarField.full(grid2d, 1.0)
-        with pytest.raises(ValueError):
-            step_n(n, c, VectorField.zeros(grid2d), SPEC, REG, 1.0)
+        mass0 = integrate(n)
+        solver = PoissonSolver(grid2d)
+        for _ in range(5):
+            out = step_n(n, c, VectorField.zeros(grid2d), SPEC, REG, 1.0, solver=solver)
+            assert out.data.min() > 0.0
+            assert abs(integrate(out) - mass0) <= 1e-14 * mass0
+            assert out.data.max() <= n.data.max()
+            n = out
 
     def test_positivity_under_cfl(self, grid2d, rng):
         # sharp data, many random trials: no undershoot beyond the slack
@@ -79,7 +87,8 @@ class TestStepN:
             assert out.data.min() >= -1e-12 * max(out.data.max(), 1.0)
 
     def test_heat_kernel_oracle_roundoff(self):
-        # oracle 1: dense Euler propagator power on the same stencil
+        # oracle 1: dense backward-Euler propagator power on the same stencil,
+        # at the old explicit step and far beyond it
         g = make_grid(2, (1.0, 0.25), (64, 4))
 
         def lap1d(N, h):
@@ -95,16 +104,17 @@ class TestStepN:
         n0 = ScalarField.from_function(
             g, lambda x, y: np.exp(-((x - 0.5) ** 2) / (2 * 0.1**2)) + 0 * y
         )
-        dt = small_dt(g)
-        M = np.eye(L.shape[0]) + dt * L
-        prop = np.linalg.matrix_power(M, 100)
-        expected = (prop @ n0.data.reshape(-1)).reshape(g.shape)
-        n = n0
         zero_u = VectorField.zeros(g)
         c = ScalarField.zeros(g)
-        for _ in range(100):
-            n = step_n(n, c, zero_u, SPEC, REG, dt)
-        assert np.abs(n.data - expected).max() <= 1e-12
+        solver = PoissonSolver(g)
+        for dt in (small_dt(g), 100.0 * small_dt(g)):
+            M = np.linalg.inv(np.eye(L.shape[0]) - dt * L)
+            prop = np.linalg.matrix_power(M, 100)
+            expected = (prop @ n0.data.reshape(-1)).reshape(g.shape)
+            n = n0
+            for _ in range(100):
+                n = step_n(n, c, zero_u, SPEC, REG, dt, solver=solver)
+            assert np.abs(n.data - expected).max() <= 1e-12
 
     def test_heat_kernel_matrix_exponential(self):
         # oracle 2: exact exponential of the stencil; tiny dt keeps the Euler
