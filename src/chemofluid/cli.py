@@ -27,6 +27,7 @@ from .diagnostics import (
     make_lyapunov_config,
     poincare_constant,
 )
+from .fluid import DENSE_MAX
 from .grid import make_grid, write_field_snapshot
 from .stepper import Trajectory, run
 from .verify import scenario_library
@@ -501,7 +502,8 @@ def main(argv=None) -> int:
         "--threads",
         type=_positive_int,
         default=1,
-        help="scipy.fft workers per transform (results are identical for any count)",
+        help=f"scipy.fft workers per transform on axes longer than {DENSE_MAX} cells; shorter "
+        "axes are matrix products and use none (results are identical for any count)",
     )
     p_run.set_defaults(fn=_cmd_run)
 

@@ -7,14 +7,17 @@ it to the divergence-free subspace.  Because the projection subtracts
 ``gradient_cc`` of a pressure potential and the divergence is taken by the
 same flux-form operator, the post-projection divergence is controlled
 directly by the Poisson residual.  The pressure Poisson problem is solved
-directly by fast cosine transforms and certified by one residual check.
+directly in cosine modes and certified by one residual check.
 
-Every linear solve here is diagonal in one spectral core: the zero-flux cell
-Laplacian in cosine modes, the no-slip componentwise Laplacian in sine
-modes.  The same resolvent ``(I - coef*Lap)^{-1}`` serves backward-Euler
-diffusion (``coef = dt``, for n and c in cosine modes and for u in sine
-modes) and the Yosida smoothing of the convecting velocity
-``(I + eps*A)^{-1} u`` (``coef = eps``, sine modes, then a projection).
+Every linear solve here is diagonal in one spectral core, ``PoissonSolver``:
+the zero-flux cell Laplacian in cosine modes, the no-slip componentwise
+Laplacian in sine modes.  The same resolvent ``(I - coef*Lap)^{-1}`` serves
+backward-Euler diffusion (``coef = dt``, for n and c in cosine modes and for
+u in sine modes) and the Yosida smoothing of the convecting velocity
+``(I + eps*A)^{-1} u`` (``coef = eps``, sine modes, then a projection).  The
+core holds one basis per axis: an orthonormal matrix on axes of at most
+``DENSE_MAX`` cells, where a matrix product costs less than a ``scipy.fft``
+call, and the ``scipy.fft`` transform on longer axes.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ __all__ = [
     "SolverFailure",
     "stencil_eigenvalues",
     "separable_eigenvalues",
+    "DENSE_MAX",
+    "dense_basis",
     "PoissonSolver",
     "FluidParams",
     "helmholtz_project",
@@ -86,6 +91,46 @@ def separable_eigenvalues(tables) -> np.ndarray:
     return functools.reduce(np.add.outer, tables)
 
 
+# Axes of at most this many cells are transformed by a dense orthonormal
+# matrix product, longer ones by scipy.fft: up to here the product beats
+# pocketfft's fixed cost per call for all three bases (single-thread table in
+# CHANGES.md), beyond it the O(N log N) transform wins.
+DENSE_MAX = 96
+
+# The three 1-D bases of the spectral core: (scipy.fft function, forward type,
+# inverse type, points relative to the N cells of the axis).  Cosine modes of
+# the zero-flux cell Laplacian (DCT-II), sine modes of the no-slip Laplacian
+# along a face component's own axis (DST-I, interior faces) and half-offset
+# sine modes across it (DST-II).
+_BASES = {
+    "cosine": ("dct", 2, 3, 0),
+    "wall_sine": ("dst", 1, 1, -1),
+    "sine": ("dst", 2, 3, 0),
+}
+
+
+def dense_basis(kind: str, N: int) -> np.ndarray:
+    """Orthonormal matrix ``M`` of a basis on an axis of ``N`` cells: the
+    forward transform along axis 0 is ``M @ x``, the inverse ``M.T @ x``.
+    Built by running the transform on the identity, so that the matrix and
+    the ``scipy.fft`` path share mode order and normalisation."""
+    fname, forward, _, extra = _BASES[kind]
+    return getattr(scipy.fft, fname)(np.eye(N + extra), type=forward, axis=0, norm="ortho")
+
+
+def _along_axis(M: np.ndarray, MT: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """``M`` applied to every 1-D line of ``x`` along ``axis`` as one matrix
+    product, given also its transpose ``MT`` (C-contiguous, which BLAS takes
+    faster than a transposed view): ``x @ MT`` on the last axis, a
+    broadcast ``M @ x`` on the one before it, a reshape to ``(N, -1)`` on
+    axis 0 of a 3-D field."""
+    if axis == x.ndim - 1:
+        return x @ MT
+    if axis == x.ndim - 2:
+        return M @ x
+    return (M @ x.reshape(x.shape[0], -1)).reshape(x.shape)
+
+
 class PoissonSolver:
     """Direct cosine-transform solve of the cell-centered zero-flux Laplacian.
 
@@ -102,9 +147,14 @@ class PoissonSolver:
     direct solve makes no iterations: ``last_iterations`` is 0.
 
     The solver is also the run's spectral core for the resolvents
-    ``(I - coef*Lap)^{-1}``: it holds the 1-D eigenvalue tables and one
-    field-sized buffer for their denominators (``resolvent_denominators``),
-    and applies the zero-flux one itself (``neumann_resolvent``).
+    ``(I - coef*Lap)^{-1}``: it holds the 1-D eigenvalue tables, one
+    field-sized buffer for their denominators (``resolvent_denominators``)
+    and one basis per axis and operator, and applies the zero-flux resolvent
+    itself (``neumann_resolvent``).  Every transform goes through
+    ``transform``: an axis of at most ``DENSE_MAX`` cells is a product with
+    the basis's orthonormal matrix (``dense_basis``), a longer one a
+    ``scipy.fft`` call (one ``dctn`` over the long axes for cells, one
+    ``dst`` per long axis for faces).
     """
 
     def __init__(self, grid: Grid, tol: float = 1e-10):
@@ -123,22 +173,66 @@ class PoissonSolver:
         self.last_residual = 0.0
         # one buffer for every resolvent's denominators (no spectrum holds
         # more entries than there are cells), and per operator its tables,
-        # shaped to broadcast, and its view of that buffer: the cell
-        # Laplacian (None) and the no-slip Laplacian of each component
+        # shaped to broadcast, its view of that buffer and its transform
+        # plan: the cell Laplacian (None) and the no-slip Laplacian of each
+        # component
         buffer = np.empty(grid.n_cells)
+        matrices = {}  # (kind, N) -> dense basis and its transpose, shared by equal axes
         self._spectra = {}
+        self._plans = {}
         for component in (None, *range(grid.dim)):
             tables = cosine if component is None else [
                 table[: N - 1] if e == component else table
                 for e, (table, N) in enumerate(zip(sine, grid.cells))
+            ]
+            kinds = [
+                "cosine" if component is None else "wall_sine" if e == component else "sine"
+                for e in range(grid.dim)
             ]
             shape = tuple(len(t) for t in tables)
             self._spectra[component] = (
                 [t.reshape((-1,) + (1,) * (grid.dim - 1 - e)) for e, t in enumerate(tables)],
                 buffer[: int(np.prod(shape))].reshape(shape),
             )
+            dense, fft = [], []
+            for e, (kind, N) in enumerate(zip(kinds, grid.cells)):
+                if N <= DENSE_MAX:
+                    if (kind, N) not in matrices:
+                        M = dense_basis(kind, N)
+                        matrices[kind, N] = (M, np.ascontiguousarray(M.T))
+                    dense.append((e, matrices[kind, N]))
+                elif kind != "cosine":  # faces: one DST per long axis
+                    fname, forward, inverse, _ = _BASES[kind]
+                    fft.append((fname, forward, inverse, {"axis": e}))
+            long_axes = tuple(e for e, N in enumerate(grid.cells) if N > DENSE_MAX)
+            if component is None and long_axes:  # cells: one DCT over the long axes
+                fft.append(("dctn", 2, 3, {"axes": long_axes}))
+            self._plans[component] = (dense, fft)
         self._denominators_of = None  # (coef, component) the buffer holds
         self._handoff = None  # (q, gradient_cc(q)) of the last solve, until taken
+
+    def transform(
+        self, x: np.ndarray, component: int = None, inverse: bool = False, overwrite: bool = False
+    ) -> np.ndarray:
+        """``x`` into (``inverse=False``) or out of the orthonormal modes of an
+        operator: the zero-flux cell Laplacian for ``component=None``, the
+        no-slip Laplacian of velocity component ``d`` (on its interior faces)
+        otherwise.
+
+        Short axes are matrix products (the inverse uses the transpose), long
+        axes ``scipy.fft`` calls.  ``overwrite`` lets the first transform
+        reuse ``x``; later ones always reuse their input.
+        """
+        dense, fft = self._plans[component]
+        for axis, (M, MT) in dense:
+            x = _along_axis(MT, M, x, axis) if inverse else _along_axis(M, MT, x, axis)
+            overwrite = True
+        for fname, forward, backward, where in fft:
+            x = getattr(scipy.fft, fname)(
+                x, type=backward if inverse else forward, norm="ortho", overwrite_x=overwrite, **where
+            )
+            overwrite = True
+        return x
 
     def solve(self, b: np.ndarray, abs_target: float = None) -> np.ndarray:
         """Return ``q`` with ``Lap q = b`` (mean-zero), raising if uncertified.
@@ -161,9 +255,9 @@ class PoissonSolver:
         target = self.tol * rhs_norm
         if abs_target is not None:
             target = min(target, abs_target)
-        spec = scipy.fft.dctn(rhs, type=2, norm="ortho")
+        spec = self.transform(rhs)
         spec *= self._inv_eigs
-        q = scipy.fft.dctn(spec, type=3, norm="ortho", overwrite_x=True)
+        q = self.transform(spec, inverse=True, overwrite=True)
         q -= q.mean()
         grad_q = gradient_cc(ScalarField(self.grid, q))
         r = divergence_fc(grad_q).data
@@ -209,19 +303,21 @@ class PoissonSolver:
     def neumann_resolvent(self, data: np.ndarray, coef: float) -> np.ndarray:
         """``(I - coef*Lap)^{-1} data`` with zero-flux walls, overwriting ``data``.
 
-        One DCT-II, a division by ``resolvent_denominators(coef)`` and one
-        DCT-III.  The transforms carry only the deviation from the mean: the
-        mean's multiplier is 1, so it is taken out of the spectrum and added
-        back afterwards.  A constant field comes back exactly, and the cell
-        sum moves only by the roundoff of the deviation.
+        A forward transform into cosine modes, a division by
+        ``resolvent_denominators(coef)`` and the inverse transform.  The
+        transforms carry only the deviation from the mean: the mean's
+        multiplier is 1, so it is summed from the data (anchored at one cell),
+        its mode is zeroed and it is added back afterwards.  A constant field
+        comes back exactly, and the cell sum moves only by the roundoff of the
+        deviation.
         """
         anchor = float(data.flat[0])
         data -= anchor
-        spec = scipy.fft.dctn(data, type=2, norm="ortho", overwrite_x=True)
-        mean = anchor + float(spec.flat[0]) / np.sqrt(spec.size)
+        mean = anchor + float(data.sum()) / data.size
+        spec = self.transform(data, overwrite=True)
         spec.flat[0] = 0.0
         spec /= self.resolvent_denominators(coef)
-        out = scipy.fft.dctn(spec, type=3, norm="ortho", overwrite_x=True)
+        out = self.transform(spec, inverse=True, overwrite=True)
         out += mean
         return out
 
@@ -362,21 +458,15 @@ def convection_upwind(A: VectorField, U: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def _resolvent_axes(grid: Grid, d: int) -> list:
-    """Per axis of velocity component ``d``: (forward DST type, inverse DST
-    type).  Sine modes along the component's own axis (DST-I), half-offset
-    sine modes tangentially (DST-II/III pair)."""
-    return [(1, 1) if e == d else (2, 3) for e in range(grid.dim)]
-
-
 def diffusion_resolvent(U: VectorField, coef: float, solver: PoissonSolver = None) -> VectorField:
     """Exact componentwise solve of ``(I - coef*Lap) v = u`` with no-slip walls.
 
     The staggered no-slip Laplacian is separable: sine modes along the
     component's own axis (DST-I) and half-offset sine modes tangentially
-    (DST-II/III pair), so the resolvent is a diagonal scaling in transform
-    space by ``solver.resolvent_denominators(coef, d)``.  Only the interior
-    faces of ``U`` are read; the walls of the result are zero.
+    (DST-II/III pair), so the resolvent is a diagonal scaling in
+    ``solver.transform(., d)`` space by ``solver.resolvent_denominators(coef,
+    d)``.  Only the interior faces of ``U`` are read; the walls of the result
+    are zero.
     """
     if coef == 0.0:
         return U
@@ -385,18 +475,15 @@ def diffusion_resolvent(U: VectorField, coef: float, solver: PoissonSolver = Non
         solver = PoissonSolver(g)
     out = []
     for d in range(g.dim):
-        axes = _resolvent_axes(g, d)
         arr = U.components[d]
         mid = _axis_slices(d, g.dim).mid
-        spec = arr[mid]
-        for e, (forward, _) in enumerate(axes):
-            # the first transform reads the caller's array; later ones own theirs
-            spec = scipy.fft.dst(spec, type=forward, axis=e, norm="ortho", overwrite_x=e > 0)
+        # the forward transform reads the caller's array; later ones own theirs
+        spec = solver.transform(arr[mid], d)
         spec /= solver.resolvent_denominators(coef, d)
-        for e, (_, inverse) in enumerate(axes):
-            spec = scipy.fft.dst(spec, type=inverse, axis=e, norm="ortho", overwrite_x=True)
+        spec = solver.transform(spec, d, inverse=True, overwrite=True)
         full = np.empty_like(arr)
         full[mid] = spec
+        del spec  # free this spectrum before the next component allocates its own
         out.append(_zero_walls(full, d))
     return VectorField(g, out)
 

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from chemofluid.cli import (
     _SCHEMA,
@@ -15,6 +16,7 @@ from chemofluid.cli import (
     serialize_config,
 )
 from chemofluid.diagnostics import CSV_COLUMNS
+from chemofluid.fluid import DENSE_MAX
 
 MINIMAL = """
 [grid]
@@ -120,27 +122,40 @@ class TestRunCommand:
         assert "lyapunov" in data and len(data["t"]) > 1
         assert (out / "run_report.txt").exists()
 
-    def test_byte_identical_rerun_and_threads(self, tmp_path):
-        cfg = self._write_cfg(tmp_path)
-        outs = []
-        for i, threads in enumerate((1, 4)):
-            out = tmp_path / f"out{i}"
-            rc = main(
-                [
-                    "run",
-                    "--config",
-                    cfg,
-                    "--out",
-                    str(out),
-                    "--seed",
-                    "5",
-                    "--threads",
-                    str(threads),
-                ]
-            )
-            assert rc == 0
-            outs.append((out / "series.csv").read_bytes())
-        assert outs[0] == outs[1]
+    def test_byte_identical_rerun_and_threads(self, tmp_path, monkeypatch):
+        # 24^2 runs on matrix products only; the long axis of the second grid
+        # takes scipy.fft calls, which run with the requested workers
+        long_axis = MINIMAL.replace("cells = 24,24", f"cells = {DENSE_MAX + 1},8").replace(
+            "extents = 1.0,1.0", "extents = 4.0,1.0"
+        )
+        workers = []
+        dctn = scipy.fft.dctn
+        monkeypatch.setattr(
+            scipy.fft, "dctn", lambda *a, **k: workers.append(scipy.fft.get_workers()) or dctn(*a, **k)
+        )
+        for k, body in enumerate((MINIMAL, long_axis)):
+            cfg = self._write_cfg(tmp_path, body)
+            outs = []
+            for threads in (1, 4):
+                workers.clear()
+                out = tmp_path / f"out{k}_{threads}"
+                rc = main(
+                    [
+                        "run",
+                        "--config",
+                        cfg,
+                        "--out",
+                        str(out),
+                        "--seed",
+                        "5",
+                        "--threads",
+                        str(threads),
+                    ]
+                )
+                assert rc == 0
+                assert set(workers) == (set() if k == 0 else {threads})
+                outs.append((out / "series.csv").read_bytes())
+            assert outs[0] == outs[1]
 
     def test_snapshots_written(self, tmp_path):
         body = MINIMAL.replace("scenario = bump_n", "scenario = bump_n\nsnapshot_every = 10")

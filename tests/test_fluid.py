@@ -4,12 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from chemofluid.fluid import (
+    DENSE_MAX,
     FluidParams,
     PoissonSolver,
     SolverFailure,
     convection_upwind,
+    dense_basis,
     diffusion_resolvent,
     dirichlet_energy,
     divergence_max,
@@ -18,6 +21,8 @@ from chemofluid.fluid import (
     laplacian_noslip,
     ns_substep,
     project_with_potential,
+    separable_eigenvalues,
+    stencil_eigenvalues,
     yosida_apply,
 )
 from chemofluid.grid import (
@@ -112,6 +117,101 @@ class TestPoissonSolver:
         b = random_smooth_field(grid, np.random.default_rng(2), 1.0).data
         with pytest.raises(SolverFailure):
             solver.solve(b)
+
+
+# each basis as plain scipy.fft: (transform, forward type, inverse type,
+# points on an axis of N cells)
+SCIPY_BASES = {
+    "cosine": (scipy.fft.dct, 2, 3, lambda N: N),
+    "wall_sine": (scipy.fft.dst, 1, 1, lambda N: N - 1),
+    "sine": (scipy.fft.dst, 2, 3, lambda N: N),
+}
+
+# one axis on each side of the cutoff, and 3-D with the long axis in the middle
+MIXED_GRIDS = [
+    ((1.3, 0.7), (DENSE_MAX + 4, 10)),
+    ((0.7, 1.3), (10, DENSE_MAX + 4)),
+    ((1.0, 0.8, 1.2), (6, 8, 10)),
+    ((1.0, 0.8, 1.2), (4, DENSE_MAX + 1, 6)),
+]
+
+
+def _scipy_chain(x, types):
+    """Apply ``types[e] = (transform, type)`` along every axis ``e``."""
+    for e, (fn, kind) in enumerate(types):
+        x = fn(x, type=kind, axis=e, norm="ortho")
+    return x
+
+
+class TestSpectralCore:
+    """The dense bases against scipy.fft, and every solve against a
+    reference computed here from scipy.fft alone."""
+
+    @pytest.mark.parametrize("kind", sorted(SCIPY_BASES))
+    @pytest.mark.parametrize("N", [4, 8, 63, 64, DENSE_MAX, DENSE_MAX + 1])
+    def test_dense_basis_is_the_transform(self, kind, N, rng):
+        fn, forward, inverse, points = SCIPY_BASES[kind]
+        M = dense_basis(kind, N)
+        L = points(N)
+        assert M.shape == (L, L)
+        x = rng.standard_normal((L, 3))
+        assert np.abs(M @ x - fn(x, type=forward, axis=0, norm="ortho")).max() <= 1e-13
+        assert np.abs(M.T @ x - fn(x, type=inverse, axis=0, norm="ortho")).max() <= 1e-13
+        assert np.abs(M @ M.T - np.eye(L)).max() <= 1e-13
+
+    @pytest.mark.parametrize("N", [DENSE_MAX, DENSE_MAX + 1])
+    def test_fft_only_past_the_cutoff(self, N, monkeypatch, rng):
+        grid = make_grid(2, (1.0, 1.0), (N, 8))
+        solver = PoissonSolver(grid)
+        calls = []
+        for name in ("dctn", "dst"):
+            original = getattr(scipy.fft, name)
+            monkeypatch.setattr(
+                scipy.fft, name, lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k)
+            )
+        solver.neumann_resolvent(rng.standard_normal(grid.shape), 0.1)
+        diffusion_resolvent(random_vector(grid, rng), 0.1, solver)
+        # cells: one dctn each way; faces: one dst each way per component
+        assert len(calls) == (0 if N <= DENSE_MAX else 2 + 2 * 2)
+
+    @pytest.mark.parametrize("extents, cells", MIXED_GRIDS)
+    def test_solves_match_scipy_reference(self, extents, cells, rng):
+        grid = make_grid(len(cells), extents, cells)
+        solver = PoissonSolver(grid)
+        axes = list(zip(grid.cells, grid.spacing))
+        lam = separable_eigenvalues([stencil_eigenvalues(N, h, range(N)) for N, h in axes])
+        cosine = [(scipy.fft.dct, 2)] * grid.dim
+        cosine_inv = [(scipy.fft.dct, 3)] * grid.dim
+        coef = 0.03
+
+        b = rng.standard_normal(grid.shape)
+        inv = 1.0 / np.where(lam == 0.0, np.inf, lam)
+        ref = _scipy_chain(_scipy_chain(b.mean() - b, cosine) * inv, cosine_inv)
+        ref -= ref.mean()
+        assert np.abs(solver.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        data = 1.0 + rng.standard_normal(grid.shape)
+        ref = _scipy_chain(_scipy_chain(data, cosine) / (1.0 + coef * lam), cosine_inv)
+        out = solver.neumann_resolvent(data.copy(), coef)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        U = random_vector(grid, rng)
+        V = diffusion_resolvent(U, coef, solver)
+        for d in range(grid.dim):
+            tables = [
+                stencil_eigenvalues(N, h, range(1, N) if e == d else range(1, N + 1))
+                for e, (N, h) in enumerate(axes)
+            ]
+            forward = [(scipy.fft.dst, 1 if e == d else 2) for e in range(grid.dim)]
+            inverse = [(scipy.fft.dst, 1 if e == d else 3) for e in range(grid.dim)]
+            interior = tuple(slice(1, -1) if e == d else slice(None) for e in range(grid.dim))
+            spec = _scipy_chain(U.components[d][interior], forward)
+            ref = _scipy_chain(spec / (1.0 + coef * separable_eigenvalues(tables)), inverse)
+            got = V.components[d]
+            assert np.abs(got[interior] - ref).max() <= 1e-12 * np.abs(ref).max()
+            walls = np.ones(got.shape, dtype=bool)
+            walls[interior] = False
+            assert np.all(got[walls] == 0.0)
 
 
 class TestProjection:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chemofluid.diagnostics import grad_c_norms
-from chemofluid.fluid import FluidParams, PoissonSolver, SolverFailure, helmholtz_project
+from chemofluid.fluid import DENSE_MAX, FluidParams, PoissonSolver, SolverFailure, helmholtz_project
 from chemofluid.grid import ScalarField, VectorField, make_grid
 from chemofluid.sensitivity import RegularizationParams, SensitivitySpec, rho_on_faces
 from chemofluid.stepper import SimParams, State, advance, cfl_dt, run
@@ -260,6 +260,19 @@ class TestBackwardEuler:
         ref = 2.0 * x[8] - x[4]
         errors = [float(np.abs(x[k] - ref).max()) for k in (1, 2)]
         assert 1.7 <= errors[0] / errors[1] <= 2.3
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_mass_exact_on_the_dense_side(self, seed):
+        """At 64^2 every transform is a matrix product; the mean is summed
+        from the data, so the mass of n stays within one rounding of the unit
+        initial mass over 256 steps.  Taken from the DC coefficient of the
+        product instead, it drifts to 1.4e-14 (seed 1) and 8.9e-16 (seed 3)."""
+        assert 64 <= DENSE_MAX
+        params, initial = scenario_library((64, 64))["random_perturbation"].build(seed, T=0.0125)
+        traj = run(params, initial)
+        assert traj.completed and traj.steps >= 200
+        drift = float(np.abs(traj.series.mass_n - traj.mass_n0).max()) / traj.mass_n0
+        assert drift <= np.finfo(np.float64).eps
 
     def test_random_perturbation_3d(self):
         lib = scenario_library((16, 16, 16))
