@@ -510,12 +510,20 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", default="all", choices=sorted(verify.SUITES) + ["all"])
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--threads", type=_positive_int, default=1)
+    p_ver.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="with --suite all, run up to that many suites concurrently; it does nothing "
+        "for a single suite",
+    )
     p_ver.add_argument(
         "--cells",
         type=lambda s: [int(v) for v in s.split(",")],
         default=[64, 64],
-        help="suite grid (smaller grids for quick smoke runs)",
+        help="suite grid (smaller grids for quick smoke runs); the mms suite refines "
+        "N/4, N/2, N on a square N,N grid (N a multiple of 4, at least 16) and skips "
+        "on any other",
     )
     p_ver.set_defaults(fn=_cmd_verify)
 

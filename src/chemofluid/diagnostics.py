@@ -340,20 +340,24 @@ def grad_c_norms(c: ScalarField, grad=None) -> GradCNorms:
     """Cell-aggregated ``int |grad c|^2`` and ``int |grad c|^4``.
 
     Wall faces carry no gradient information under the zero-flux convention,
-    so boundary cells take the value of their single interior face and
-    interior cells the mean of their two faces.  ``grad`` may carry a
-    precomputed ``gradient_cc(c)``.
+    so boundary cells take the value of their single interior face (the mean
+    of their two faces doubled, the wall face being zero) and interior cells
+    the mean of their two faces.  ``grad`` may carry a precomputed
+    ``gradient_cc(c)``.
     """
     g = c.grid
     if grad is None:
         grad = gradient_cc(c)
-    mag2 = np.zeros(g.shape)
+    mag2 = None
     for d in range(g.dim):
         s = _axis_slices(d, g.dim)
-        # the interior faces with even ghosts in place of the wall faces
-        f = _mirror_pad(grad.components[d][s.mid], d, 1.0)
-        cell_d = 0.5 * (f[s.lo] + f[s.hi])
-        mag2 += cell_d * cell_d
+        f = grad.components[d]
+        cell_d = np.add(f[s.lo], f[s.hi])
+        cell_d *= 0.5
+        cell_d[s.first] *= 2.0
+        cell_d[s.last] *= 2.0
+        cell_d *= cell_d
+        mag2 = cell_d if mag2 is None else np.add(mag2, cell_d, out=mag2)
     vol = g.volume_element
     return GradCNorms(
         l2_sq=float(mag2.sum()) * vol, l4_4=float((mag2 * mag2).sum()) * vol

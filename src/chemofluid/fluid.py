@@ -40,7 +40,6 @@ from .grid import (
     divergence_fc,
     face_component_at_faces,
     gradient_cc,
-    vector_inner,
     vector_l2_sq,
 )
 
@@ -414,8 +413,28 @@ def laplacian_noslip(U: VectorField) -> VectorField:
 
 
 def dirichlet_energy(U: VectorField) -> float:
-    """Discrete ``integral |grad u|^2`` as the no-slip Dirichlet form ``-<u, Lap u>``."""
-    return -vector_inner(U, laplacian_noslip(U))
+    """Discrete ``integral |grad u|^2``: the no-slip Dirichlet form ``-<u, Lap u>``.
+
+    Summed by parts, with no Laplacian field: along a component's own axis
+    the squared differences of all its faces, across it the squared
+    differences of neighbouring face lines plus ``2 (first^2 + last^2)`` for
+    the odd ghosts beyond the walls, each over ``h^2``.  This equals
+    ``-vector_inner(U, laplacian_noslip(U))`` to roundoff provided the wall
+    faces of ``U`` are zero, as they are for every no-slip velocity.
+    """
+    g = U.grid
+    total = 0.0
+    for d, arr in enumerate(U.components):
+        for e in range(g.dim):
+            s = _axis_slices(e, g.dim)
+            D = np.subtract(arr[s.hi], arr[s.lo])
+            D *= D
+            part = float(D.sum())
+            if e != d:  # the odd ghosts beyond the two walls
+                first, last = np.square(arr[s.first]), np.square(arr[s.last])
+                part += 2.0 * (float(first.sum()) + float(last.sum()))
+            total += part / g.spacing[e] ** 2
+    return total * g.volume_element
 
 
 def convection_upwind(A: VectorField, U: VectorField) -> VectorField:
@@ -510,10 +529,9 @@ def divergence_max(U: VectorField) -> float:
     return _abs_max(divergence_fc(U).data)
 
 
-def _incompressibility_tolerance(U: VectorField, tol: float = 1e-9) -> float:
-    g = U.grid
-    scale = (1.0 + U.max_abs()) / min(g.spacing)
-    return tol * scale
+def _incompressibility_tolerance(grid: Grid, umax: float, tol: float = 1e-9) -> float:
+    """Divergence allowed in a velocity on ``grid`` whose ``max |u|`` is ``umax``."""
+    return tol * (1.0 + umax) / min(grid.spacing)
 
 
 def ns_substep(
@@ -538,13 +556,26 @@ def ns_substep(
     potential.  ``forcing``, when given, is a callable
     ``forcing(coords, t, component) -> array`` sampled at face centers
     (manufactured-solution studies).
+
+    A fluid at rest (``max |u| = 0``) has no convective term, so the Yosida
+    smoothing and the upwind convection are skipped.  If no buoyancy or
+    forcing term is active either, ``u* = 0``: the resolvent and the
+    projection could only return zeros, so the step returns ``u = 0`` and
+    ``P = 0`` directly and records ``solver.last_residual = 0.0``, as
+    projecting a zero field does.
     """
     g = u.grid
-    if divergence_max(u) > _incompressibility_tolerance(u):
+    umax = u.max_abs()
+    if umax == 0.0:
+        if params.grad_phi is None and forcing is None:
+            solver.last_residual = 0.0
+            return VectorField.zeros(g), ScalarField.zeros(g), 0.0
+    elif divergence_max(u) > _incompressibility_tolerance(g, umax):
         raise ValueError(
             f"ns_substep requires a divergence-free input (max div = {divergence_max(u):.3e})"
         )
-    if params.kappa != 0.0:
+    convective = params.kappa != 0.0 and umax != 0.0
+    if convective:
         conv = convection_upwind(yosida_apply(u, params.eps, solver), u)
     if params.grad_phi is not None:
         # anchored at one cell, so that a constant n has no buoyancy at all
@@ -554,7 +585,7 @@ def ns_substep(
     for d in range(g.dim):
         # -kappa conv + (n - n_mean) grad(phi) + forcing, accumulated in place
         upd = None
-        if params.kappa != 0.0:
+        if convective:
             upd = conv.components[d]
             upd *= -params.kappa
         if params.grad_phi is not None:

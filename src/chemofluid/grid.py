@@ -229,7 +229,14 @@ class VectorField:
         return m
 
     def max_abs(self) -> float:
-        return max(_abs_max(c) for c in self.components)
+        """``max |u|`` over all components; NaN if any component holds one."""
+        m = 0.0
+        for c in self.components:
+            a = _abs_max(c)
+            if a != a:
+                return a
+            m = max(m, a)
+        return m
 
 
 class AxisSlices(NamedTuple):

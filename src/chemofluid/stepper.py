@@ -259,8 +259,8 @@ class _SeriesBuilder:
         r["D_n"].append(diss.D_n)
         r["D_c"].append(diss.D_c)
         r["D_u"].append(diss.D_u)
-        r["n_inf_dev"].append(float(np.abs(dn).max()))
-        r["c_inf_dev"].append(float(np.abs(dc).max()))
+        r["n_inf_dev"].append(_abs_max(dn))
+        r["c_inf_dev"].append(_abs_max(dc))
         r["u_inf"].append(state.u.max_abs())
         r["dt"].append(dt)
         r["proj_residual"].append(proj_residual)

@@ -19,6 +19,8 @@ from .fluid import PoissonSolver, dirichlet_energy
 from .grid import (
     ScalarField,
     VectorField,
+    _axis_slices,
+    cells_to_faces,
     divergence_fc,
     gradient_cc,
     upwind_cells_to_faces,
@@ -203,26 +205,27 @@ def dissipation_integrals(
     ``D_n`` weights the face gradient of n by the arithmetic face mean raised
     to ``2*alpha - 2`` (the exponent vanishes at alpha = 1, where the weight
     is identically one, including at n = 0).  ``D_c`` is the plain face
-    Dirichlet sum and ``D_u`` the no-slip Dirichlet form of the velocity.
-    ``grad_c`` may carry a precomputed ``gradient_cc(c)``.
+    Dirichlet sum and ``D_u`` the no-slip Dirichlet form of the velocity
+    (``dirichlet_energy``, summed by parts).  ``grad_c`` may carry a
+    precomputed ``gradient_cc(c)``.
     """
     g = n.grid
     vol = g.volume_element
     expo = 2.0 * alpha - 2.0
-    gn = gradient_cc(n)
     D_n = 0.0
-    for d in range(g.dim):
-        gd = gn.components[d]
-        if expo == 0.0:
-            w = 1.0
-        else:
-            from .grid import cells_to_faces
-
-            n_face = np.maximum(cells_to_faces(n.data, g, d), 0.0)
-            w = n_face**expo
-        D_n += float((w * gd * gd).sum())
+    if expo == 0.0:  # unit weight: the squared cell differences over h^2
+        for d in range(g.dim):
+            s = _axis_slices(d, g.dim)
+            D = np.subtract(n.data[s.hi], n.data[s.lo])
+            D *= D
+            D_n += float(D.sum()) / g.spacing[d] ** 2
+    else:
+        gn = gradient_cc(n)
+        for d in range(g.dim):
+            gd = gn.components[d]
+            w = np.maximum(cells_to_faces(n.data, g, d), 0.0) ** expo
+            D_n += float((w * gd * gd).sum())
     D_n *= vol
     gc = gradient_cc(c) if grad_c is None else grad_c
     D_c = sum(float((comp * comp).sum()) for comp in gc.components) * vol
-    D_u = dirichlet_energy(u)
-    return DissipationRecord(D_n=D_n, D_c=D_c, D_u=max(D_u, 0.0))
+    return DissipationRecord(D_n=D_n, D_c=D_c, D_u=dirichlet_energy(u))

@@ -9,6 +9,7 @@ checks; every report is reproducible bitwise for a fixed seed.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -44,6 +45,8 @@ __all__ = [
     "epsilon_ladder",
     "ConvergenceReport",
     "mms_convergence",
+    "mms_resolutions",
+    "ENDS_ONLY",
     "energy_residual_probe",
     "run_suite",
     "SUITES",
@@ -463,6 +466,10 @@ def run_scenario(scenario: Scenario, seed: int = 0, use_cache: bool = True) -> V
     return VerdictReport(scenario=scenario.name, results=results, trajectory=traj)
 
 
+# A ``diagnostics_every`` no run reaches: the run records only its initial
+# row and the row of its final step.  For callers that read final states only.
+ENDS_ONLY = sys.maxsize
+
 # ---------------------------------------------------------------------------
 # tol_disc calibration (dt-halving probe)
 # ---------------------------------------------------------------------------
@@ -521,6 +528,9 @@ def epsilon_ladder(base: SimParams, initial: State, eps_list) -> LadderReport:
 
     Reports successive-pair L2 distances of the final states; the expected
     trend is Cauchy-like (nonincreasing within 10%, one inversion allowed).
+    Only final states are read, so each run records only its first and last
+    diagnostics rows (``diagnostics_every = ENDS_ONLY``); the per-step
+    invariant checks of ``run`` still apply to every step.
     """
     eps_list = list(eps_list)
     if any(not (0 < e <= 1) for e in eps_list):
@@ -537,6 +547,7 @@ def epsilon_ladder(base: SimParams, initial: State, eps_list) -> LadderReport:
             fluid=FluidParams(
                 kappa=base.fluid.kappa, eps=eps, phi=base.fluid.phi
             ),
+            diagnostics_every=ENDS_ONLY,
         )
         traj = run(p, initial)
         if not traj.completed:
@@ -589,13 +600,18 @@ class ConvergenceReport:
 
 
 def mms_convergence(case: MmsCase, resolutions) -> ConvergenceReport:
-    """Observed order of accuracy from a ladder of grid resolutions."""
+    """Observed order of accuracy from a ladder of grid resolutions.
+
+    Only the final states are read, so each run records only its first and
+    last diagnostics rows (``diagnostics_every = ENDS_ONLY``); the per-step
+    invariant checks of ``run`` still apply to every step.
+    """
     resolutions = list(resolutions)
     if len(resolutions) < 3:
         raise ValueError("need at least 3 resolutions for an order estimate")
     errors = []
     for N in resolutions:
-        params = case.make_params(N)
+        params = dataclasses.replace(case.make_params(N), diagnostics_every=ENDS_ONLY)
         initial = case.initial_state(params.grid)
         traj = run(params, initial)
         if not traj.completed:
@@ -784,10 +800,34 @@ def _suite_ladder(cells=(64, 64), seed: int = 0):
     return [VerdictReport(scenario="epsilon_ladder", results=[res])]
 
 
-def _suite_mms(cells=None, seed: int = 0):
+def mms_resolutions(cells) -> list:
+    """The MMS refinement ladder ``(N/4, N/2, N)`` for a square 2-D grid of
+    ``N`` cells per side, N a multiple of 4 and at least 16; ``None`` for any
+    other grid (the manufactured cases live on the unit square)."""
+    cells = tuple(cells)
+    if len(cells) != 2 or cells[0] != cells[1] or cells[0] % 4 or cells[0] < 16:
+        return None
+    N = cells[0]
+    return [N // 4, N // 2, N]
+
+
+def _suite_mms(cells=(64, 64), seed: int = 0):
+    """Convergence orders on the ladder ``mms_resolutions(cells)``; the seed
+    is unused (the manufactured cases are deterministic)."""
+    resolutions = mms_resolutions(cells)
     reports = []
     for name, case in mms_cases().items():
-        conv = mms_convergence(case, [16, 32, 64])
+        if resolutions is None:
+            grid = "x".join(str(N) for N in cells)
+            res = AssertionResult(
+                "convergence_order",
+                "skip",
+                f"needs a square 2-D grid of N >= 16 cells per side, N a multiple of 4; got {grid}",
+                "the manufactured cases live on the unit square",
+            )
+            reports.append(VerdictReport(scenario=f"mms_{name}", results=[res]))
+            continue
+        conv = mms_convergence(case, resolutions)
         if case.expected_order is None:
             ok = max(conv.errors) <= 1e-12
             measured = f"errors {[f'{e:.2e}' for e in conv.errors]} (roundoff expected)"

@@ -306,6 +306,19 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    def test_mms_suite_skips_a_grid_it_cannot_refine(self, capsys):
+        rc = main(["verify", "--suite", "mms", "--cells", "16,8"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.count("[SKIP  ] convergence_order") == 3
+        assert "mms_diffusion_only.convergence_order.status = skip" in out
+
+    def test_threads_help_names_suite_all(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "with --suite all, run up to that many suites concurrently" in out
+
     def test_ladder_suite_small_grid(self, capsys):
         rc = main(["verify", "--suite", "ladder", "--cells", "16,16"])
         out = capsys.readouterr().out

@@ -28,6 +28,7 @@ from chemofluid.fluid import (
 from chemofluid.grid import (
     ScalarField,
     VectorField,
+    cells_to_faces,
     face_component_at_faces,
     gradient_cc,
     laplacian_neumann,
@@ -311,6 +312,24 @@ class TestNoSlipOperators:
         u = random_vector(grid2d, rng)
         assert dirichlet_energy(u) > 0
 
+    @pytest.mark.parametrize(
+        "extents, cells",
+        [((1.0, 0.6), (12, 20)), ((0.7, 1.0, 1.3), (6, 9, 5))],
+    )
+    def test_dirichlet_energy_is_minus_inner_with_laplacian(self, rng, extents, cells):
+        # summation by parts against the Laplacian field it replaced; the
+        # faces next to the walls carry random, nonzero values
+        g = make_grid(len(cells), extents, cells)
+        u = random_vector(g, rng)
+        assert all(
+            np.take(comp, k, axis=e).any()
+            for d, comp in enumerate(u.components)
+            for e in range(g.dim)
+            for k in ((1, -2) if e == d else (0, -1))
+        )
+        expected = -vector_inner(u, laplacian_noslip(u))
+        assert dirichlet_energy(u) == pytest.approx(expected, rel=1e-13)
+
     def test_convection_skew_symmetry_proxy(self):
         # |<(Yu . grad)u, u>| stays small relative to h ||u||^2-type scales
         # and does not grow under refinement
@@ -453,6 +472,56 @@ class TestNsSubstep:
         zero = VectorField.zeros(grid2d)
         assert ns_substep(zero, n, params, 1.0, solver)[0].max_abs() == 0.0
 
+    def test_at_rest_without_sources_skips_the_solves(self, grid2d, monkeypatch):
+        import chemofluid.fluid as fluid_mod
+
+        calls = []
+        for name in ("diffusion_resolvent", "project_with_potential", "yosida_apply"):
+            original = getattr(fluid_mod, name)
+
+            def counted(*args, _fn=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(fluid_mod, name, counted)
+        for kappa in (0.0, 1.0):
+            solver, params = self._solver_params(grid2d, kappa=kappa)
+            solver.last_residual = 1.0
+            n = ScalarField(grid2d, 1.0 + random_smooth_field(grid2d, np.random.default_rng(1), 0.3).data)
+            u1, P, res = ns_substep(VectorField.zeros(grid2d), n, params, 1e-3, solver)
+            assert all(np.array_equal(c, np.zeros_like(c)) for c in u1.components)
+            assert np.array_equal(P.data, np.zeros(grid2d.shape))
+            assert res == 0.0 and solver.last_residual == 0.0
+        assert calls == []
+
+    def test_nan_in_a_later_component_is_not_at_rest(self, grid2d):
+        # max |u| must see the NaN, or the step would return u = 0 for it
+        solver, params = self._solver_params(grid2d)
+        u = VectorField.zeros(grid2d)
+        u.components[1][3, 3] = np.nan
+        assert np.isnan(u.max_abs())
+        with pytest.raises(FloatingPointError):
+            ns_substep(u, ScalarField.zeros(grid2d), params, 1e-3, solver)
+
+    @pytest.mark.parametrize(
+        "kappa, phi_fn",
+        [(1.0, None), (1.0, lambda x, y: 0.3 * x + 0.1 * y), (0.0, lambda x, y: 0.2 * x * y)],
+    )
+    def test_at_rest_bit_equal_to_full_path(self, grid2d, kappa, phi_fn):
+        solver, params = self._solver_params(grid2d, phi_fn=phi_fn, kappa=kappa, eps=0.1)
+        rng = np.random.default_rng(2)
+        n = ScalarField(grid2d, 1.0 + random_smooth_field(grid2d, rng, 0.3).data)
+        u = VectorField.zeros(grid2d)
+        dt = 1e-3
+        u1, P, res = ns_substep(u, n, params, dt, solver)
+        v1, Q, res_full = _full_ns_substep(u, n, params, dt, PoissonSolver(grid2d))
+        for a, b in zip(u1.components, v1.components):
+            assert np.array_equal(a, b)
+        assert np.array_equal(P.data, Q.data)
+        assert res == res_full
+        if phi_fn is not None:
+            assert u1.max_abs() > 0.0  # the buoyancy really moved the fluid
+
     def test_stokes_limit_bitwise_eps_independent(self, grid2d, rng):
         # kappa = 0 bypasses convection entirely
         solver1, params1 = self._solver_params(grid2d, kappa=0.0, eps=0.05)
@@ -464,6 +533,32 @@ class TestNsSubstep:
         b, _, _ = ns_substep(u, n, params2, dt, PoissonSolver(grid2d))
         for ca, cb in zip(a.components, b.components):
             assert np.array_equal(ca, cb)
+
+
+def _full_ns_substep(u, n, params, dt, solver):
+    """The momentum step with every stage run, a fluid at rest included:
+    Yosida, convection, resolvent and projection (the oracle of the
+    at-rest shortcut)."""
+    g = u.grid
+    comps = [np.zeros(g.face_shape(d)) for d in range(g.dim)]
+    if params.kappa != 0.0:
+        conv = convection_upwind(yosida_apply(u, params.eps, solver), u)
+        comps = [-params.kappa * c for c in conv.components]
+    if params.grad_phi is not None:
+        anchor = float(n.data.flat[0])
+        nbar = anchor + float((n.data - anchor).mean())
+        for d in range(g.dim):
+            buoy = cells_to_faces(n.data, g, d)
+            buoy -= nbar
+            buoy *= params.grad_phi.components[d]
+            comps[d] = comps[d] + buoy
+    u_star = VectorField(g, [dt * c + uc for c, uc in zip(comps, u.components)])
+    u_star = diffusion_resolvent(u_star, dt, solver)
+    u_next, q, residual = project_with_potential(u_star, solver)
+    P = q.data / dt
+    if params.grad_phi is not None:
+        P = P + nbar * (params.phi.data - params.phi_mean)
+    return u_next, ScalarField(g, P), residual
 
 
 class TestEnergyIdentity:

@@ -237,6 +237,19 @@ class TestSharedDerivatives:
             assert np.array_equal(a, b)
 
 
+    def test_max_deviation_columns_bit_equal_to_abs_oracle(self):
+        lib = scenario_library((16, 16))
+        params, initial = lib["random_perturbation"].build(3, T=0.005)
+        traj = run(dataclasses.replace(params, snapshot_every=1), initial)
+        assert traj.completed and len(traj.snapshots) == len(traj.series)
+        states = [state for _, state in traj.snapshots]
+        # the former expressions: the max of |deviation| over a full pass
+        n_dev = [float(np.abs(st.n.data - traj.nbar0).max()) for st in states]
+        c_dev = [float(np.abs(st.c.data - traj.nbar0).max()) for st in states]
+        assert np.array_equal(traj.series.n_inf_dev, n_dev)
+        assert np.array_equal(traj.series.c_inf_dev, c_dev)
+
+
 class TestBackwardEuler:
     def test_first_order_in_time(self):
         """At 32^2 the final-state error halves when sigma halves.  The

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import chemofluid.verify as verify_mod
 from chemofluid.diagnostics import LyapunovInfeasible, poincare_constant
 from chemofluid.grid import make_grid
 from chemofluid.manufactured import mms_cases
@@ -21,6 +22,7 @@ from chemofluid.verify import (
     calibrate_tol_disc,
     epsilon_ladder,
     mms_convergence,
+    mms_resolutions,
     run_scenario,
     run_suite,
     scenario_library,
@@ -187,6 +189,79 @@ class TestEpsilonLadder:
         totals = [d["total"] for d in rep.distances]
         assert rep.inversions <= 1
         assert totals[-1] < totals[0]
+
+
+def _recording_runs(monkeypatch):
+    """Route ``verify.run`` through a wrapper; returns the list of rows each
+    run recorded."""
+    rows = []
+
+    def recorded(*args, **kwargs):
+        traj = run(*args, **kwargs)
+        rows.append(len(traj.series))
+        return traj
+
+    monkeypatch.setattr(verify_mod, "run", recorded)
+    return rows
+
+
+class TestEndsOnlyRows:
+    """The ladder and the MMS runner read final states only: their runs
+    record two rows and give the same bits as runs recording every row."""
+
+    def test_mms_convergence(self, monkeypatch):
+        rows = _recording_runs(monkeypatch)
+        cases = mms_cases()
+        lean = {name: mms_convergence(cases[name], [8, 12, 16]).errors for name in cases}
+        assert rows == [2] * 9
+        monkeypatch.setattr(verify_mod, "ENDS_ONLY", 1)
+        rows.clear()
+        full = {name: mms_convergence(cases[name], [8, 12, 16]).errors for name in cases}
+        assert min(rows) > 2
+        assert lean == full
+
+    def test_epsilon_ladder(self, monkeypatch, lib):
+        params, init = lib["bump_n"].build(0, T=0.02)
+        rows = _recording_runs(monkeypatch)
+        lean = epsilon_ladder(params, init, [0.4, 0.2, 0.1])
+        assert rows == [2, 2, 2]
+        monkeypatch.setattr(verify_mod, "ENDS_ONLY", 1)
+        rows.clear()
+        full = epsilon_ladder(params, init, [0.4, 0.2, 0.1])
+        assert min(rows) > 2
+        assert lean.distances == full.distances and lean.distances
+
+
+class TestMmsSuiteGrid:
+    def test_resolutions_follow_the_grid(self):
+        assert mms_resolutions((64, 64)) == [16, 32, 64]
+        assert mms_resolutions((16, 16)) == [4, 8, 16]
+        assert mms_resolutions([32, 32]) == [8, 16, 32]
+        for cells in ((12, 12), (18, 18), (16, 32), (16, 16, 16)):
+            assert mms_resolutions(cells) is None
+
+    def test_suite_runs_the_grid_ladder(self, monkeypatch):
+        seen = []
+        original = verify_mod.mms_convergence
+
+        def recorded(case, resolutions):
+            seen.append(list(resolutions))
+            return original(case, resolutions)
+
+        monkeypatch.setattr(verify_mod, "mms_convergence", recorded)
+        reports = run_suite("mms", cells=(16, 16))
+        assert seen == [[4, 8, 16]] * len(mms_cases())
+        assert [r.scenario for r in reports] == [f"mms_{name}" for name in mms_cases()]
+
+    @pytest.mark.parametrize("cells", [(16, 8), (20, 20, 20), (10, 10)])
+    def test_other_grids_skip(self, cells):
+        reports = run_suite("mms", cells=cells)
+        assert len(reports) == len(mms_cases())
+        for rep in reports:
+            assert rep.passed
+            (res,) = rep.results
+            assert res.status == "skip"
+            assert "x".join(map(str, cells)) in res.measured
 
 
 class TestMmsRunner:
