@@ -477,7 +477,9 @@ def convection_upwind(A: VectorField, U: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def diffusion_resolvent(U: VectorField, coef: float, solver: PoissonSolver = None) -> VectorField:
+def diffusion_resolvent(
+    U: VectorField, coef: float, solver: PoissonSolver = None, overwrite: bool = False
+) -> VectorField:
     """Exact componentwise solve of ``(I - coef*Lap) v = u`` with no-slip walls.
 
     The staggered no-slip Laplacian is separable: sine modes along the
@@ -485,7 +487,8 @@ def diffusion_resolvent(U: VectorField, coef: float, solver: PoissonSolver = Non
     (DST-II/III pair), so the resolvent is a diagonal scaling in
     ``solver.transform(., d)`` space by ``solver.resolvent_denominators(coef,
     d)``.  Only the interior faces of ``U`` are read; the walls of the result
-    are zero.
+    are zero.  ``overwrite`` writes the result into ``U``'s own arrays, for a
+    caller that owns them; otherwise ``U`` is left unchanged.
     """
     if coef == 0.0:
         return U
@@ -500,7 +503,7 @@ def diffusion_resolvent(U: VectorField, coef: float, solver: PoissonSolver = Non
         spec = solver.transform(arr[mid], d)
         spec /= solver.resolvent_denominators(coef, d)
         spec = solver.transform(spec, d, inverse=True, overwrite=True)
-        full = np.empty_like(arr)
+        full = arr if overwrite else np.empty_like(arr)
         full[mid] = spec
         del spec  # free this spectrum before the next component allocates its own
         out.append(_zero_walls(full, d))
@@ -581,28 +584,30 @@ def ns_substep(
         # anchored at one cell, so that a constant n has no buoyancy at all
         anchor = float(n.data.flat[0])
         nbar = anchor + float((n.data - anchor).mean())
-    comps = []
-    for d in range(g.dim):
-        # -kappa conv + (n - n_mean) grad(phi) + forcing, accumulated in place
-        upd = None
-        if convective:
-            upd = conv.components[d]
-            upd *= -params.kappa
-        if params.grad_phi is not None:
-            n_face = cells_to_faces(n.data, g, d)
-            n_face -= nbar
-            n_face *= params.grad_phi.components[d]
-            upd = n_face if upd is None else np.add(upd, n_face, out=upd)
-        if forcing is not None:
-            f = np.broadcast_to(forcing(g.face_center_mesh(d), t, d), g.face_shape(d))
-            upd = f.copy() if upd is None else np.add(upd, f, out=upd)
-        if upd is None:
-            comps.append(u.components[d])
-            continue
-        upd *= dt
-        upd += u.components[d]
-        comps.append(upd)
-    u_star = diffusion_resolvent(VectorField(g, comps), dt, solver)
+    if convective or params.grad_phi is not None or forcing is not None:
+        comps = []
+        for d in range(g.dim):
+            # -kappa conv + (n - n_mean) grad(phi) + forcing, accumulated in place
+            upd = None
+            if convective:
+                upd = conv.components[d]
+                upd *= -params.kappa
+            if params.grad_phi is not None:
+                n_face = cells_to_faces(n.data, g, d)
+                n_face -= nbar
+                n_face *= params.grad_phi.components[d]
+                upd = n_face if upd is None else np.add(upd, n_face, out=upd)
+            if forcing is not None:
+                f = np.broadcast_to(forcing(g.face_center_mesh(d), t, d), g.face_shape(d))
+                upd = f.copy() if upd is None else np.add(upd, f, out=upd)
+            upd *= dt
+            upd += u.components[d]
+            comps.append(upd)
+        # the step owns these arrays, so u* overwrites them: no dead velocity
+        # pair stays alive through the projection
+        u_star = diffusion_resolvent(VectorField(g, comps), dt, solver, overwrite=True)
+    else:  # no explicit term: u* solves from the caller's u, which stays as it is
+        u_star = diffusion_resolvent(u, dt, solver)
     u_next, q, proj_residual = project_with_potential(u_star, solver)
     P = q.data
     P /= dt

@@ -186,23 +186,23 @@ def _cpl_c_derivs(x, y, t):
     return c, c_t, c_x, c_y, lap_c
 
 
-def _cpl_u_derivs(x, y, t):
+def _cpl_u_derivs(x, y, t, d):
+    """Both components of u*, and component ``d``'s time derivative,
+    gradient and Laplacian: ``(ux, uy, u_t, u_x, u_y, lap_u)``."""
     q = np.exp(-t)
-    sx, cx = np.sin(PI * x), np.cos(PI * x)
-    s2x, c2x = np.sin(2 * PI * x), np.cos(2 * PI * x)
-    sy, cy = np.sin(PI * y), np.cos(PI * y)
-    s2y, c2y = np.sin(2 * PI * y), np.cos(2 * PI * y)
+    sx, s2x, c2x = np.sin(PI * x), np.sin(2 * PI * x), np.cos(2 * PI * x)
+    sy, s2y, c2y = np.sin(PI * y), np.sin(2 * PI * y), np.cos(2 * PI * y)
     ux = _UAMP * sx**2 * s2y * q
-    ux_t = -ux
-    ux_x = _UAMP * PI * s2x * s2y * q
-    ux_y = 2.0 * PI * _UAMP * sx**2 * c2y * q
-    lap_ux = 2.0 * PI**2 * _UAMP * (c2x - 2.0 * sx**2) * s2y * q
     uy = -_UAMP * s2x * sy**2 * q
-    uy_t = -uy
-    uy_x = -2.0 * PI * _UAMP * c2x * sy**2 * q
-    uy_y = -_UAMP * PI * s2x * s2y * q
-    lap_uy = 2.0 * PI**2 * _UAMP * s2x * (2.0 * sy**2 - c2y) * q
-    return (ux, ux_t, ux_x, ux_y, lap_ux), (uy, uy_t, uy_x, uy_y, lap_uy)
+    if d == 0:
+        u_x = _UAMP * PI * s2x * s2y * q
+        u_y = 2.0 * PI * _UAMP * sx**2 * c2y * q
+        lap_u = 2.0 * PI**2 * _UAMP * (c2x - 2.0 * sx**2) * s2y * q
+        return ux, uy, -ux, u_x, u_y, lap_u
+    u_x = -2.0 * PI * _UAMP * c2x * sy**2 * q
+    u_y = -_UAMP * PI * s2x * s2y * q
+    lap_u = 2.0 * PI**2 * _UAMP * s2x * (2.0 * sy**2 - c2y) * q
+    return ux, uy, -uy, u_x, u_y, lap_u
 
 
 def _cpl_forcing_n(coords, t):
@@ -227,16 +227,17 @@ def _cpl_forcing_c(coords, t):
 
 
 def _cpl_forcing_u(coords, t, d):
+    """Momentum forcing of component ``d``: only the fields that ``d`` uses
+    are evaluated."""
     x, y = coords[0], coords[1]
-    n, *_ = _cpl_n_derivs(x, y, t)
-    (ux, ux_t, ux_x, ux_y, lap_ux), (uy, uy_t, uy_x, uy_y, lap_uy) = _cpl_u_derivs(
-        x, y, t
-    )
-    phi_x = -_PHI0 * PI * np.sin(PI * x) * np.cos(PI * y)
-    phi_y = -_PHI0 * PI * np.cos(PI * x) * np.sin(PI * y)
+    ux, uy, u_t, u_x, u_y, lap_u = _cpl_u_derivs(x, y, t, d)
+    cx, cy = np.cos(PI * x), np.cos(PI * y)
+    n = _BN0 + _BN * (cx * cy) * np.exp(-t)  # as _cpl_n_derivs forms it
     if d == 0:
-        return ux_t + (ux * ux_x + uy * ux_y) - lap_ux - n * phi_x
-    return uy_t + (ux * uy_x + uy * uy_y) - lap_uy - n * phi_y
+        grad_phi = -_PHI0 * PI * np.sin(PI * x) * cy
+    else:
+        grad_phi = -_PHI0 * PI * cx * np.sin(PI * y)
+    return u_t + (ux * u_x + uy * u_y) - lap_u - n * grad_phi
 
 
 # ---------------------------------------------------------------------------

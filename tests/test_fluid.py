@@ -37,7 +37,7 @@ from chemofluid.grid import (
     vector_l2_sq,
 )
 
-from chemofluid.verify import random_smooth_field, swirl_velocity
+from chemofluid.verify import random_smooth_field, scenario_library, swirl_velocity
 
 from conftest import random_scalar, random_vector
 
@@ -280,6 +280,23 @@ class TestYosida:
         out = yosida_apply(u, 0.3, solver)
         assert np.sqrt(vector_l2_sq(out)) <= np.sqrt(vector_l2_sq(u)) + 1e-9
 
+    @pytest.mark.parametrize("cells", [(32, 32), (128, 24)])
+    def test_resolvent_overwrites_only_when_told(self, cells, rng):
+        # yosida_apply hands over the state's u: the resolvent must copy;
+        # with overwrite the same result lands in the caller's own arrays
+        # (a 128-cell axis takes the scipy.fft path)
+        grid = make_grid(2, (1.0, 1.0), cells)
+        solver = PoissonSolver(grid)
+        U = helmholtz_project(random_vector(grid, rng), solver)
+        before = [c.copy() for c in U.components]
+        v = diffusion_resolvent(U, 0.05, solver)
+        yosida_apply(U, 0.05, solver)
+        for a, b in zip(U.components, before):
+            assert np.array_equal(a, b)
+        w = diffusion_resolvent(U, 0.05, solver, overwrite=True)
+        for wc, vc, uc in zip(w.components, v.components, U.components):
+            assert wc is uc and np.array_equal(wc, vc)
+
     def test_resolvent_on_dirichlet_eigenmode(self, grid2d):
         # derived: explicit eigenvalue of the no-slip stencil
         v, lam = dirichlet_mode(grid2d, kx=2, my=3)
@@ -521,6 +538,36 @@ class TestNsSubstep:
         assert res == res_full
         if phi_fn is not None:
             assert u1.max_abs() > 0.0  # the buoyancy really moved the fluid
+
+    def test_without_explicit_terms_leaves_u_unchanged(self, grid2d, rng):
+        # kappa = 0, no phi, no forcing: u* is the caller's own u, so the
+        # resolvent must not solve in place
+        solver, params = self._solver_params(grid2d, kappa=0.0)
+        u = helmholtz_project(random_vector(grid2d, rng, scale=0.1), solver)
+        before = [c.copy() for c in u.components]
+        u1, _, _ = ns_substep(u, ScalarField.full(grid2d, 1.0), params, 1e-3, solver)
+        for a, b, c in zip(u.components, before, u1.components):
+            assert np.array_equal(a, b) and not np.array_equal(c, b)
+
+    def test_step_holds_no_dead_velocity_pair(self):
+        # the backward-Euler velocity overwrites the step's own explicit
+        # update, so the traced peak of one buoyant Stokes step (reached in
+        # the projection's certificate) holds under 6 face pairs
+        import tracemalloc
+
+        params, state = scenario_library((64, 64))["random_perturbation"].build(1)
+        fluid = FluidParams(kappa=0.0, eps=params.fluid.eps, phi=params.fluid.phi)
+        solver = PoissonSolver(params.grid)
+        # a first step keeps one-time allocations out of the count
+        ns_substep(state.u, state.n, fluid, 1e-4, solver)
+        tracemalloc.start()
+        try:
+            ns_substep(state.u, state.n, fluid, 1e-4, solver)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.u.max_abs() > 0.0
+        assert peak <= 6 * (2 * 64 * 65 * 8)
 
     def test_stokes_limit_bitwise_eps_independent(self, grid2d, rng):
         # kappa = 0 bypasses convection entirely

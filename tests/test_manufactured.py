@@ -8,9 +8,14 @@ residual at random interior points, so any transcription slip fails loudly.
 import numpy as np
 import pytest
 
+from chemofluid.grid import make_grid
 from chemofluid.manufactured import (
+    _BN,
+    _BN0,
     _CS_COUPLED,
     _PHI0,
+    _UAMP,
+    _cpl_forcing_u,
     mms_cases,
     mms_error,
     sample_exact_state,
@@ -117,6 +122,55 @@ class TestCoupledForcings:
                 oracle = u_t + (ux * u_x + uy * u_y) - lap_u - ne(x, y, t) * grad_phi
                 ours = float(case.forcing_u((np.asarray(x), np.asarray(y)), t, comp))
                 assert abs(ours - oracle) <= 1e-6
+
+    @pytest.mark.parametrize("t", [0.0, 0.0137, 0.05])
+    def test_momentum_forcing_bit_equal_to_full_evaluation(self, points, t):
+        # the per-component forcing computes each field it uses with the
+        # expression the full evaluation uses, so every bit agrees
+        for cells in ((8, 8), (16, 16), (64, 64)):
+            grid = make_grid(2, (1.0, 1.0), cells)
+            for d in (0, 1):
+                coords = grid.face_center_mesh(d)
+                assert np.array_equal(
+                    _cpl_forcing_u(coords, t, d), _full_cpl_forcing_u(coords, t, d)
+                )
+        for x, y, s in points:
+            coords = (np.asarray(x), np.asarray(y))
+            for d in (0, 1):
+                assert np.array_equal(
+                    _cpl_forcing_u(coords, s, d), _full_cpl_forcing_u(coords, s, d)
+                )
+
+
+def _full_cpl_forcing_u(coords, t, d):
+    """The momentum forcing as first written: both components' fields, all
+    five n fields and both phi gradients evaluated on every call (the oracle
+    of the per-component evaluation)."""
+    pi = np.pi
+    x, y = coords[0], coords[1]
+    g = np.exp(-t)
+    cc = np.cos(pi * x) * np.cos(pi * y)
+    n = _BN0 + _BN * cc * g
+    q = np.exp(-t)
+    sx = np.sin(pi * x)
+    s2x, c2x = np.sin(2 * pi * x), np.cos(2 * pi * x)
+    sy = np.sin(pi * y)
+    s2y, c2y = np.sin(2 * pi * y), np.cos(2 * pi * y)
+    ux = _UAMP * sx**2 * s2y * q
+    ux_t = -ux
+    ux_x = _UAMP * pi * s2x * s2y * q
+    ux_y = 2.0 * pi * _UAMP * sx**2 * c2y * q
+    lap_ux = 2.0 * pi**2 * _UAMP * (c2x - 2.0 * sx**2) * s2y * q
+    uy = -_UAMP * s2x * sy**2 * q
+    uy_t = -uy
+    uy_x = -2.0 * pi * _UAMP * c2x * sy**2 * q
+    uy_y = -_UAMP * pi * s2x * s2y * q
+    lap_uy = 2.0 * pi**2 * _UAMP * s2x * (2.0 * sy**2 - c2y) * q
+    phi_x = -_PHI0 * pi * np.sin(pi * x) * np.cos(pi * y)
+    phi_y = -_PHI0 * pi * np.cos(pi * x) * np.sin(pi * y)
+    if d == 0:
+        return ux_t + (ux * ux_x + uy * ux_y) - lap_ux - n * phi_x
+    return uy_t + (ux * uy_x + uy * uy_y) - lap_uy - n * phi_y
 
 
 class TestDiffusionForcings:
