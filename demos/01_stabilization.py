@@ -17,7 +17,7 @@ traj = run(params, initial)
 
 cfg = traj.lyapunov_config
 print(f"grid Poincare constant C_N = {traj.C_N:.6f}")
-print(f"C_S = {cfg.C_S:.4f} < 2 sqrt(C_N) = {2 * np.sqrt(cfg.C_N):.4f}  (certificate active)")
+print(f"C_S = {cfg.C_S:.4f} < 2 sqrt(lambda_1) = 2/sqrt(C_N) = {2 / np.sqrt(cfg.C_N):.4f}  (certificate active)")
 print(f"weight B = {cfg.B:.4f}, coefficients a1 = {cfg.a1:.4f}, a2 = {cfg.a2:.4f}")
 print(f"predicted rate floor kappa_pred = {cfg.kappa_pred:.4f}")
 

@@ -5,7 +5,9 @@ on a staggered Cartesian box with zero-flux and no-slip walls.  The package
 certifies, as machine-checkable runtime assertions: exact mass conservation,
 the stepwise bound on the chemical mass, monotone dissipation of the weighted
 distance to the homogeneous state under the smallness condition
-``C_S < 2 sqrt(C_N)``, and exponential relaxation rates.
+``C_S < 2 sqrt(lambda_1) = 2/sqrt(C_N)`` (``lambda_1`` the smallest nonzero
+eigenvalue of the grid's zero-flux Laplacian, ``C_N = 1/lambda_1`` its
+Poincare constant), and exponential relaxation rates.
 """
 
 from .diagnostics import (

@@ -256,15 +256,20 @@ def echo_block(cfg: RunConfig, C_N: float = None) -> str:
         lines.append(f"{f.name} = {v}")
     if C_N is not None:
         lines.append(f"C_N = {_fmt(C_N)}")
+        lines.append(f"lambda_1 = {_fmt(1.0 / C_N)}")
+        condition = f"cs < 2*sqrt(lambda_1) = 2/sqrt(C_N) = {_fmt(2.0 / np.sqrt(C_N))}"
         feas = make_lyapunov_config(cfg.cs, C_N)
         if isinstance(feas, LyapunovConfig):
-            lines.append("smallness_condition = satisfied")
+            lines.append(f"smallness_condition = satisfied: {condition}")
             lines.append(f"B = {_fmt(feas.B)}")
             lines.append(f"a1 = {_fmt(feas.a1)}")
             lines.append(f"a2 = {_fmt(feas.a2)}")
             lines.append(f"kappa_pred = {_fmt(feas.kappa_pred)}")
         else:
-            lines.append("smallness_condition = violated (run proceeds; certificate suite skipped)")
+            lines.append(
+                f"smallness_condition = violated: not {condition} "
+                "(run proceeds; certificate suite skipped)"
+            )
     return "\n".join(lines)
 
 
@@ -357,6 +362,10 @@ def _cmd_run(args) -> int:
         fh.write(echo + "\n")
         fh.write(f"status = {traj.status}\n")
         fh.write(f"steps = {traj.steps}\n")
+        fh.write(f"dt_min = {_fmt(traj.dt_min)}\n")
+        fh.write(f"dt_max = {_fmt(traj.dt_max)}\n")
+        for bound, count in traj.steps_by_bound.items():
+            fh.write(f"steps_by_{bound} = {count}\n")
         if traj.error:
             fh.write(f"error = {traj.error}\n")
     with open(os.path.join(outdir, "config.echo"), "w") as fh:

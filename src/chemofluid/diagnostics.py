@@ -7,16 +7,16 @@ This module turns the decay theory into measurable quantities:
     Laplacian, in closed form from the cosine eigenvalues of the stencil);
   * the weighted functional ``L = (B/2)||n - nbar||^2 + (1/2)||c - nbar||^2``
     together with the dissipation bound
-    ``dL/dt <= -(B*C_N/2 - 1/4)||n - nbar||^2 - (1 - B*C_S^2/2)||grad c||^2``,
-    available whenever ``C_S < 2*sqrt(C_N)``;
+    ``dL/dt <= -(B*lambda_1/2 - 1/4)||n - nbar||^2 - (1 - B*C_S^2/2)||grad c||^2``,
+    available whenever ``C_S < 2*sqrt(lambda_1) = 2/sqrt(C_N)``;
   * log-linear decay-rate fits, gradient norms of c, max-norm distances to
     the homogeneous state, and space-time weak-form residuals of the three
     evolution equations.
 
-The dissipation certificate uses the discrete ``C_N`` of the run grid: the
-inequality being checked is the discrete one, and with the grid's own
-constant it is provable for the scheme (grids whose first nonzero eigenvalue
-is at least one, which holds for unit-scale boxes).
+The dissipation certificate uses the discrete constant of the run grid: the
+inequality being checked is the discrete one.  Its energy estimate needs
+``||grad f||^2 >= lambda_1 ||f - mean(f)||^2``, so every formula takes
+``lambda_1 = 1/C_N``; ``make_lyapunov_config`` converts in one place.
 """
 
 from __future__ import annotations
@@ -145,9 +145,11 @@ def poincare_constant(grid: Grid) -> float:
 class LyapunovConfig:
     """Weight B and the derived dissipation coefficients.
 
-    Exists only under the smallness condition ``C_S < 2 sqrt(C_N)``; then
-    ``a1 = B*C_N/2 - 1/4 > 0`` and ``a2 = 1 - B*C_S^2/2 > 0`` and the
-    predicted decay rate ``min(2*a1/B, 2*C_N*a2)`` is positive.
+    Exists only under the smallness condition ``C_S < 2 sqrt(lambda_1)``,
+    ``lambda_1 = 1/C_N``; then ``a1 = B*lambda_1/2 - 1/4 > 0`` and
+    ``a2 = 1 - B*C_S^2/2 > 0`` and the predicted decay rate
+    ``min(2*a1/B, 2*lambda_1*a2)`` is positive.  ``C_N`` is the Poincare
+    constant it was made from.
     """
 
     B: float
@@ -170,24 +172,28 @@ class LyapunovInfeasible:
 def make_lyapunov_config(C_S: float, C_N: float):
     """Pick B as the midpoint of the admissible interval.
 
-    The interval is ``(1/(2*C_N), 2/C_S^2)``, nonempty exactly when
-    ``C_S < 2*sqrt(C_N)``; the upper end is capped at ``10/C_N`` so the
-    ``C_S -> 0`` limit stays finite.
+    ``C_N`` is the Poincare constant of ``poincare_constant``; the energy
+    estimate takes ``lambda_1 = 1/C_N``.  The interval is
+    ``(1/(2*lambda_1), 2/C_S^2)``, nonempty exactly when
+    ``C_S < 2*sqrt(lambda_1) = 2/sqrt(C_N)``; the upper end is capped at
+    ``10/lambda_1`` so the ``C_S -> 0`` limit stays finite.
     """
     if not (C_S > 0 and C_N > 0):
         raise ValueError("C_S and C_N must be positive")
-    if C_S >= 2.0 * np.sqrt(C_N):
+    lam1 = 1.0 / C_N
+    threshold = 2.0 / np.sqrt(C_N)
+    if C_S >= threshold:
         return LyapunovInfeasible(
             C_S=C_S,
             C_N=C_N,
-            reason=f"C_S={C_S:.6g} >= 2*sqrt(C_N)={2.0 * np.sqrt(C_N):.6g}",
+            reason=f"C_S={C_S:.6g} >= 2*sqrt(lambda_1)=2/sqrt(C_N)={threshold:.6g}",
         )
-    B_lo = 1.0 / (2.0 * C_N)
-    B_hi = min(2.0 / C_S**2, 10.0 / C_N)
+    B_lo = 1.0 / (2.0 * lam1)
+    B_hi = min(2.0 / C_S**2, 10.0 / lam1)
     B = 0.5 * (B_lo + B_hi)
-    a1 = 0.5 * B * C_N - 0.25
+    a1 = 0.5 * B * lam1 - 0.25
     a2 = 1.0 - 0.5 * B * C_S**2
-    kappa_pred = min(2.0 * a1 / B, 2.0 * C_N * a2)
+    kappa_pred = min(2.0 * a1 / B, 2.0 * lam1 * a2)
     assert a1 > 0 and a2 > 0 and kappa_pred > 0
     return LyapunovConfig(B=B, C_N=C_N, C_S=C_S, a1=a1, a2=a2, kappa_pred=kappa_pred)
 

@@ -597,9 +597,13 @@ def ns_substep(
                 n_face -= nbar
                 n_face *= params.grad_phi.components[d]
                 upd = n_face if upd is None else np.add(upd, n_face, out=upd)
+                # dropped here, or the last component's would live through
+                # the viscous solve and the projection
+                del n_face
             if forcing is not None:
                 f = np.broadcast_to(forcing(g.face_center_mesh(d), t, d), g.face_shape(d))
                 upd = f.copy() if upd is None else np.add(upd, f, out=upd)
+                del f
             upd *= dt
             upd += u.components[d]
             comps.append(upd)

@@ -3,12 +3,13 @@
 One step advances the scalars with the beginning-of-step velocity, then the
 velocity with the fresh density (weak-coupling first-order splitting).  Each
 field takes its transport, reaction and forcing explicitly and its diffusion
-by backward Euler (an IMEX splitting), so the step size is set by accuracy,
-``dt <= sigma h^2 / 2``, and by the explicit terms' limits.  The
-homogeneous state (n_mean, n_mean, 0) is a discrete fixed point, mass of n is
-conserved exactly, and the stepwise bound on the c mass is asserted at
-runtime.  Identical parameters and initial data reproduce trajectories
-bitwise.
+by backward Euler (an IMEX splitting), so the step size is set by accuracy
+and by the explicit terms' limits.  ``run`` controls the step from backward
+Euler's local diffusion error, between the cap ``sigma h^2 / 2`` and
+``CEILING_FACTOR`` times it.  The homogeneous state (n_mean, n_mean, 0) is a
+discrete fixed point, mass of n is conserved exactly, and the stepwise bound
+on the c mass is asserted at runtime.  Identical parameters and initial data
+reproduce trajectories bitwise.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .grid import (
     _abs_max,
     gradient_cc,
     integrate,
+    laplacian_neumann,
     vector_l2_sq,
 )
 from .sensitivity import (
@@ -123,13 +125,34 @@ class State:
             raise PositivityError("state has negative c", cmin)
 
 
+# The step-size controller of ``run``.  The next step is the last one times
+# ``clamp(0.9 tol / est, 1/2, 2)``, with ``est`` backward Euler's relative
+# local diffusion error per unit step (``_step_growth``) and
+# ``tol = TOL_FACTOR * sigma h^2/2``, so that ``dt`` still shrinks with sigma
+# and h.  It never goes below the cap ``sigma h^2/2`` (``cfl_dt``), nor above
+# ``CEILING_FACTOR`` times it or the explicit terms' limits.  The ceiling
+# bounds the O(dt) error by a multiple of the O(h^2) spatial one: the
+# diffusion-only MMS order at 8/12/16 cells is 2.02 at 1, 1.99 at 4, 1.93 at 8
+# and 1.84 at 16, against its band [1.8, 2.2].
+CEILING_FACTOR = 4.0
+TOL_FACTOR = 2.0e4
+
+# what set a step's size, in the order of the run report
+STEP_BOUNDS = ("floor", "controller", "ceiling", "advection", "drift", "reaction", "remainder")
+
+
+def _accuracy_cap(params: SimParams) -> float:
+    """``sigma h^2/2``: backward-Euler diffusion is stable at any dt, and this
+    cap keeps its O(dt) error level with the O(h^2) spatial error while high
+    modes are alive, in any dimension."""
+    return params.cfl_sigma * (min(params.grid.spacing) ** 2 / 2.0)
+
+
 def _cfl_parts(state: State, params: SimParams, drift=None, rho_faces=None, grad_c=None):
-    """``[dt, drift]``: the step size and the chemotactic face states it read."""
-    g = params.grid
-    hmin = min(g.spacing)
-    # backward-Euler diffusion is stable at any dt; h^2/2 keeps its O(dt)
-    # error level with the O(h^2) spatial error, in any dimension
-    diff = hmin**2 / 2.0
+    """``[limit, bound, drift]``: sigma times the tightest of the advection,
+    chemotactic-drift and reaction limits, its name in ``STEP_BOUNDS``, and
+    the chemotactic face states it read."""
+    hmin = min(params.grid.spacing)
     umax = state.u.max_abs()
     adv = hmin / umax if umax > 0 else np.inf
     if drift is None:
@@ -138,21 +161,63 @@ def _cfl_parts(state: State, params: SimParams, drift=None, rho_faces=None, grad
         )
     vmax = max(_abs_max(v) for v in drift[1])
     chemo = hmin / vmax if vmax > 0 else np.inf
-    reaction = 0.5
-    dt = params.cfl_sigma * min(diff, adv, chemo, reaction)
-    return [dt, drift]
+    limit, bound = min((adv, "advection"), (chemo, "drift"), (0.5, "reaction"))
+    return [params.cfl_sigma * limit, bound, drift]
 
 
 def cfl_dt(state: State, params: SimParams) -> float:
-    """Step size: sigma times the tightest of the diffusion accuracy cap
-    ``h^2/2`` and the advection, chemotactic-drift and reaction limits."""
+    """The fixed-cap step: sigma times the tightest of the diffusion accuracy
+    cap ``h^2/2`` and the advection, chemotactic-drift and reaction limits.
+
+    ``run`` never steps below it (bar a last step landing on T).  It takes
+    exactly this step when the run records snapshots; otherwise its
+    controller may grow the step up to ``CEILING_FACTOR * sigma h^2/2``
+    within the explicit limits.
+    """
     state.n.check_finite("n")
     state.c.check_finite("c")
     state.u.check_finite("u")
-    dt, _ = _cfl_parts(state, params)
+    limit, _, _ = _cfl_parts(state, params)
+    dt = min(_accuracy_cap(params), limit)
     if not (dt > 0):
         raise ValueError("computed a nonpositive dt")
     return dt
+
+
+def _bounded_step(proposal: float, cap: float, ceiling: float, limit: float, bound: str):
+    """``(dt, what set it)``: the controller's ``proposal`` raised to the
+    accuracy ``cap`` and lowered to the ``ceiling`` and the explicit
+    ``limit`` named ``bound``."""
+    if proposal <= cap:
+        dt, bound_acc = cap, "floor"
+    elif proposal >= ceiling:
+        dt, bound_acc = ceiling, "ceiling"
+    else:
+        dt, bound_acc = proposal, "controller"
+    return (limit, bound) if limit < dt else (dt, bound_acc)
+
+
+def _step_growth(increments: list, state: State, nbar: float, tol: float) -> float:
+    """Factor for the next step, ``clamp(0.9 tol / est, 1/2, 2)``.
+
+    ``est = (1/2)|Lap_h(y_{k+1} - y_k)|_inf / |y_{k+1} - nbar|_inf`` over
+    ``y = (n, c)`` is backward Euler's local error ``(dt^2/2)|y_tt|`` per
+    unit step and relative to the distance from equilibrium, with
+    ``y_tt ~ Lap_h y_t`` for diffusion (error per unit step: Gustafsson, ACM
+    TOMS 17, 1991).  ``increments`` holds the two ``y_{k+1} - y_k``; each is
+    dropped after its Laplacian, so one Laplacian is alive at a time.
+    """
+    g = state.n.grid
+    lap_max = 0.0
+    while increments:
+        lap_max = max(lap_max, _abs_max(laplacian_neumann(ScalarField(g, increments.pop())).data))
+    if lap_max == 0.0:
+        return 2.0
+    # max |y - nbar| from the two extremes: subtraction keeps their order
+    dev = max(
+        max(float(f.data.max()) - nbar, nbar - float(f.data.min())) for f in (state.n, state.c)
+    )
+    return min(2.0, max(0.5, 0.9 * tol * dev / (0.5 * lap_max)))
 
 
 def advance(
@@ -221,6 +286,9 @@ class Trajectory:
     status: str = "completed"
     error: str = None
     steps: int = 0
+    dt_min: float = float("nan")
+    dt_max: float = float("nan")
+    steps_by_bound: dict = dc_field(default_factory=dict)  # STEP_BOUNDS -> steps
 
     @property
     def completed(self) -> bool:
@@ -276,9 +344,13 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
     """Advance the system to T (or max_steps), recording diagnostics.
 
     The initial velocity is projected once so a non-solenoidal input becomes
-    admissible.  Any substep failure, a step guard's ``ValueError`` included,
-    ends the run with status "aborted", an error prefixed ``step k:`` and the
-    partial trajectory retained.
+    admissible.  The first step is ``cfl_dt``; after each step the
+    controller sizes the next from that step's own increment (see
+    ``CEILING_FACTOR``).  A run that records snapshots keeps ``cfl_dt`` at
+    every step, since ``snapshot_every`` counts steps.  Any substep failure,
+    a step guard's ``ValueError`` included, ends the run with status
+    "aborted", an error prefixed ``step k:`` and the partial trajectory
+    retained.
     """
     g = params.grid
     if solver is None:
@@ -307,6 +379,14 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
     )
     c_mass_bound = max(mass_n0, mass_c0)
 
+    controlled = not params.snapshot_every
+    cap = _accuracy_cap(params)
+    ceiling = CEILING_FACTOR * cap if controlled else cap
+    tol = TOL_FACTOR * cap
+    proposal = cap
+    steps_by_bound = dict.fromkeys(STEP_BOUNDS, 0)
+    dt_min, dt_max = np.inf, -np.inf
+
     status, error = "completed", None
     step = 0
     max_steps = params.max_steps if params.max_steps is not None else np.inf
@@ -315,11 +395,19 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
             # grad_c of the state comes from its recorded row, if it has one
             cfl = _cfl_parts(state, params, rho_faces=rho_faces, grad_c=grad_c)
             grad_c = None
-            dt = _step_size(cfl[0], params.T - state.t)
+            sized, bound = _bounded_step(proposal, cap, ceiling, cfl[0], cfl[1])
+            dt = _step_size(sized, params.T - state.t)
             # popped into the call so that advance holds the only reference
             # and frees the drift after its last use
-            state = advance(state, params, dt, solver, rho_faces, drift=cfl.pop())
+            new = advance(state, params, dt, solver, rho_faces, drift=cfl.pop())
+            if controlled:
+                increments = [new.n.data - state.n.data, new.c.data - state.c.data]
+            state = new  # the old state goes before the controller's Laplacians
+            if controlled:
+                proposal = dt * _step_growth(increments, state, nbar0, tol)
             step += 1
+            steps_by_bound["remainder" if dt != sized else bound] += 1
+            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
             if not forced:
                 mass_n = integrate(state.n)
                 if abs(mass_n - mass_n0) > 1e-10 * max(abs(mass_n0), 1.0):
@@ -365,4 +453,7 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
         status=status,
         error=error,
         steps=step,
+        dt_min=dt_min if step else float("nan"),
+        dt_max=dt_max if step else float("nan"),
+        steps_by_bound=steps_by_bound,
     )

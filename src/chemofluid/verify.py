@@ -724,7 +724,8 @@ def _suite_lyapunov(cells=(64, 64), seed: int = 0):
 def _infeasible_build(cells, seed):
     grid = make_grid(len(cells), (1.0,) * len(cells), cells)
     C_N = poincare_constant(grid)
-    params = _base_params(grid, C_S=2.0 * float(np.sqrt(C_N)), kappa=1.0, eps=0.1, T=0.02)
+    # the boundary of the smallness condition C_S < 2 sqrt(lambda_1) = 2/sqrt(C_N)
+    params = _base_params(grid, C_S=2.0 / float(np.sqrt(C_N)), kappa=1.0, eps=0.1, T=0.02)
     rng = np.random.default_rng(seed)
     n0 = ScalarField(grid, 1.0 + random_smooth_field(grid, rng, 0.2).data)
     return params, State(

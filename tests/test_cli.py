@@ -17,6 +17,7 @@ from chemofluid.cli import (
 )
 from chemofluid.diagnostics import CSV_COLUMNS
 from chemofluid.fluid import DENSE_MAX
+from chemofluid.stepper import STEP_BOUNDS
 
 MINIMAL = """
 [grid]
@@ -120,7 +121,20 @@ class TestRunCommand:
         assert "C_N" in captured
         data = read_csv(out / "series.csv")
         assert "lyapunov" in data and len(data["t"]) > 1
-        assert (out / "run_report.txt").exists()
+        report = dict(
+            line.split(" = ", 1)
+            for line in (out / "run_report.txt").read_text().splitlines()
+            if " = " in line
+        )
+        assert report["smallness_condition"].startswith("satisfied: cs < 2*sqrt(lambda_1)")
+        assert float(report["lambda_1"]) == 1.0 / float(report["C_N"])
+        # the report says which bound set each step, and the step range
+        steps = int(report["steps"])
+        by_bound = {k[len("steps_by_"):]: int(v) for k, v in report.items() if k.startswith("steps_by_")}
+        assert list(by_bound) == list(STEP_BOUNDS)
+        assert sum(by_bound.values()) == steps == len(data["t"]) - 1
+        assert float(report["dt_min"]) == data["dt"][1:].min()
+        assert float(report["dt_max"]) == data["dt"][1:].max()
 
     def test_byte_identical_rerun_and_threads(self, tmp_path, monkeypatch):
         # 24^2 runs on matrix products only; the long axis of the second grid

@@ -10,6 +10,7 @@ from chemofluid.diagnostics import (
     LyapunovConfig,
     LyapunovInfeasible,
     WeakTestSpec,
+    budget_check_series,
     fit_decay_rate,
     grad_c_norms,
     lyapunov,
@@ -31,7 +32,7 @@ from chemofluid.grid import (
 )
 from chemofluid.sensitivity import RegularizationParams, SensitivitySpec
 from chemofluid.stepper import SimParams, State, run
-from chemofluid.verify import default_phi, swirl_velocity
+from chemofluid.verify import default_phi, scenario_library, swirl_velocity
 
 
 def discrete_neumann_lambda1(N, L):
@@ -111,30 +112,54 @@ class TestStokesEigenvalue:
 
 
 class TestLyapunovConfig:
+    """The energy estimate needs ``||grad f||^2 >= lambda_1 ||f - mean f||^2``,
+    so the formulas take ``lambda_1 = 1/C_N`` of the Poincare constant."""
+
     def test_reference_arithmetic(self):
-        C_N = 1.0 / np.pi**2
+        C_N = 1.0 / np.pi**2  # lambda_1 = pi^2
         cfg = make_lyapunov_config(0.5, C_N)
         assert isinstance(cfg, LyapunovConfig)
-        assert cfg.B == pytest.approx(0.5 * (np.pi**2 / 2 + 8.0), rel=1e-12)
-        assert cfg.B == pytest.approx(6.4674, abs=5e-4)
-        assert cfg.a1 == pytest.approx(cfg.B / (2 * np.pi**2) - 0.25, rel=1e-12)
+        # B = midpoint of (1/(2 lambda_1), min(2/C_S^2, 10/lambda_1)); 10/pi^2 < 8
+        assert cfg.B == pytest.approx(0.5 * (1 / (2 * np.pi**2) + 10 / np.pi**2), rel=1e-12)
+        assert cfg.B == pytest.approx(0.53194, abs=5e-6)
+        assert cfg.a1 == pytest.approx(cfg.B * np.pi**2 / 2 - 0.25, rel=1e-12)
+        assert cfg.a1 == pytest.approx(2.375, rel=1e-12)
         assert cfg.a2 == pytest.approx(1 - cfg.B / 8.0, rel=1e-12)
         assert cfg.a1 > 0 and cfg.a2 > 0
         assert cfg.kappa_pred == pytest.approx(
-            min(2 * cfg.a1 / cfg.B, 2 * C_N * cfg.a2), rel=1e-12
+            min(2 * cfg.a1 / cfg.B, 2 * np.pi**2 * cfg.a2), rel=1e-12
         )
+        assert cfg.kappa_pred == pytest.approx(8.93, abs=5e-3)
+        assert cfg.C_N == C_N
 
     def test_boundary_case_infeasible(self):
-        C_N = 0.1
-        out = make_lyapunov_config(2.0 * np.sqrt(C_N), C_N)
+        C_N = 0.1  # lambda_1 = 10
+        out = make_lyapunov_config(2.0 / np.sqrt(C_N), C_N)
         assert isinstance(out, LyapunovInfeasible)
         assert "C_S" in out.reason
+        assert isinstance(make_lyapunov_config(0.999 * 2.0 / np.sqrt(C_N), C_N), LyapunovConfig)
 
     def test_small_cs_capped_interval(self):
-        C_N = 0.1
+        C_N = 0.1  # lambda_1 = 10: the interval (C_N/2, 10 C_N)
         cfg = make_lyapunov_config(1e-8, C_N)
-        assert cfg.B == pytest.approx(0.5 * (1 / (2 * C_N) + 10 / C_N), rel=1e-12)
+        assert cfg.B == pytest.approx(0.5 * (C_N / 2 + 10 * C_N), rel=1e-12)
         assert cfg.a2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_budget_holds_at_zero_tolerance_on_a_wide_box(self):
+        """On an 8 x 8 box ``1/C_N > C_N``: taken with ``C_N`` in place of
+        ``lambda_1`` the bound was too strong, and this run broke it at
+        tolerance 0 on every step (a1 2.375, kappa_pred 5.87)."""
+        grid = make_grid(2, (8.0, 8.0), (32, 32))
+        params, initial = scenario_library(grid=grid)["random_perturbation"].build(
+            0, T=6.0, C_S=0.3
+        )
+        traj = run(params, initial)
+        assert traj.completed, traj.error
+        cfg = traj.lyapunov_config
+        assert isinstance(cfg, LyapunovConfig)
+        frac, total = budget_check_series(traj.series, cfg, 0.0)
+        assert total == traj.steps >= 100
+        assert frac == 1.0
 
 
 class TestLyapunovValue:

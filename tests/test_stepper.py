@@ -5,11 +5,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chemofluid.diagnostics import grad_c_norms
+from chemofluid.diagnostics import CSV_COLUMNS, grad_c_norms
 from chemofluid.fluid import DENSE_MAX, FluidParams, PoissonSolver, SolverFailure, helmholtz_project
 from chemofluid.grid import ScalarField, VectorField, make_grid
 from chemofluid.sensitivity import RegularizationParams, SensitivitySpec, rho_on_faces
-from chemofluid.stepper import SimParams, State, advance, cfl_dt, run
+from chemofluid.stepper import (
+    CEILING_FACTOR,
+    STEP_BOUNDS,
+    SimParams,
+    State,
+    advance,
+    cfl_dt,
+    run,
+)
 from chemofluid.transport import dissipation_integrals
 from chemofluid.verify import (
     default_phi,
@@ -100,7 +108,12 @@ class TestRun:
         traj = run(make_params(grid2d, T=T), state)
         assert traj.completed
         dts = traj.series.dt[1:]  # row 0 is the initial state
-        assert len(dts) == traj.steps == 8  # six whole steps and two halves
+        # the controller doubles a step with no diffusion error: dt0 and 2 dt0,
+        # then the (4 + extra) dt0 left is under two of the 4 dt0 proposed
+        assert len(dts) == traj.steps == 4
+        assert dts[:2].tolist() == [dt0, 2.0 * dt0]
+        assert dts[2:] == pytest.approx([(2.0 + 0.5 * extra) * dt0] * 2, rel=1e-12)
+        assert traj.steps_by_bound["remainder"] == 2
         assert np.all(dts[1:] >= 0.5 * dts[:-1])
         assert dts.min() >= 0.5 * dt0
         assert traj.series.t[-1] == pytest.approx(T, rel=1e-14)
@@ -158,10 +171,9 @@ class TestRun:
             return run(params, init)
 
         a, b = one_run(), one_run()
-        for col in a.series.rows if hasattr(a.series, "rows") else []:
-            pass
-        from chemofluid.diagnostics import CSV_COLUMNS
-
+        # the step controller sized these steps, and sized them alike
+        assert a.steps_by_bound["controller"] > 0
+        assert a.steps_by_bound == b.steps_by_bound
         for col in CSV_COLUMNS:
             assert np.array_equal(a.series.column(col), b.series.column(col)), col
         fa, fb = a.final_state(), b.final_state()
@@ -208,7 +220,8 @@ class TestRun:
 
 class TestSharedDerivatives:
     def test_series_equal_to_unshared_stepping(self):
-        """A recorded row's derivatives feed the next step without changing a bit."""
+        """A recorded row's derivatives feed the next step without changing a
+        bit.  The replay takes the run's own steps, ``series.dt``."""
         lib = scenario_library((32, 32))
         params, initial = lib["random_perturbation"].build(0)
         params = dataclasses.replace(params, max_steps=20)
@@ -222,8 +235,7 @@ class TestSharedDerivatives:
         rows = []
         for k in range(21):
             if k:
-                dt = min(cfl_dt(state, params), params.T - state.t)
-                state = advance(state, params, dt, solver, rho_faces)
+                state = advance(state, params, traj.series.dt[k], solver, rho_faces)
             norms = grad_c_norms(state.c)
             diss = dissipation_integrals(state.n, state.c, state.u, params.sensitivity.alpha)
             rows.append((state.t, norms.l2_sq, norms.l4_4, diss.D_n, diss.D_c, diss.D_u))
@@ -248,6 +260,69 @@ class TestSharedDerivatives:
         c_dev = [float(np.abs(st.c.data - traj.nbar0).max()) for st in states]
         assert np.array_equal(traj.series.n_inf_dev, n_dev)
         assert np.array_equal(traj.series.c_inf_dev, c_dev)
+
+
+class TestStepController:
+    def test_steps_between_floor_and_ceiling(self):
+        """Every step but the last two (which may split the remainder) lies
+        in ``[cfl_dt, CEILING_FACTOR * sigma h^2/2]``, ``cfl_dt`` taken at the
+        state the step starts from."""
+        lib = scenario_library((32, 32))
+        params, initial = lib["random_perturbation"].build(0, T=0.02)
+        traj = run(params, initial)
+        assert traj.completed
+        dts = traj.series.dt[1:]
+        ceiling = CEILING_FACTOR * params.cfl_sigma * (1.0 / 32) ** 2 / 2
+        g = params.grid
+        solver = PoissonSolver(g)
+        rho_faces = rho_on_faces(g, params.regularization)
+        state = dataclasses.replace(initial, u=helmholtz_project(initial.u, solver))
+        for dt in dts[:-2]:
+            assert cfl_dt(state, params) <= dt <= ceiling
+            state = advance(state, params, dt, solver, rho_faces)
+        bounds = traj.steps_by_bound
+        assert list(bounds) == list(STEP_BOUNDS)
+        assert sum(bounds.values()) == traj.steps == len(dts)
+        assert bounds["floor"] >= 1 and bounds["controller"] >= 1 and bounds["ceiling"] >= 1
+        assert bounds["remainder"] <= 2
+        assert (traj.dt_min, traj.dt_max) == (dts.min(), dts.max())
+
+    def test_homogeneous_state_reaches_the_ceiling(self, grid2d):
+        """No diffusion error: each step doubles from the cap to the ceiling."""
+        params = make_params(grid2d, T=1.0, max_steps=6)
+        dt0 = cfl_dt(State.homogeneous(grid2d, 1.0), params)
+        traj = run(params, State.homogeneous(grid2d, 1.0))
+        assert traj.completed and traj.steps == 6
+        assert CEILING_FACTOR == 4.0
+        assert traj.series.dt[1:].tolist() == [dt0, 2 * dt0] + [4 * dt0] * 4
+        assert traj.steps_by_bound["ceiling"] == 4
+
+    def test_snapshot_run_is_fixed_cap_stepping(self):
+        """``snapshot_every`` counts steps, so a run that records snapshots
+        takes ``cfl_dt`` at every step, bit for bit."""
+        lib = scenario_library((32, 32))
+        params, initial = lib["random_perturbation"].build(0, T=0.01)
+        params = dataclasses.replace(params, snapshot_every=5)
+        traj = run(params, initial)
+        assert traj.completed
+        g = params.grid
+        solver = PoissonSolver(g)
+        rho_faces = rho_on_faces(g, params.regularization)
+        state = dataclasses.replace(initial, u=helmholtz_project(initial.u, solver))
+        dts = []
+        while state.t < params.T - 1e-14:
+            dt = cfl_dt(state, params)
+            remaining = params.T - state.t
+            dt = remaining if remaining <= dt else 0.5 * remaining if remaining < 2 * dt else dt
+            state = advance(state, params, dt, solver, rho_faces)
+            dts.append(dt)
+        assert traj.series.dt[1:].tolist() == dts
+        assert traj.steps_by_bound["controller"] == traj.steps_by_bound["ceiling"] == 0
+        final = traj.final_state()
+        assert np.array_equal(final.n.data, state.n.data)
+        assert np.array_equal(final.c.data, state.c.data)
+        for a, b in zip(final.u.components, state.u.components):
+            assert np.array_equal(a, b)
 
 
 class TestBackwardEuler:
@@ -278,10 +353,11 @@ class TestBackwardEuler:
     def test_mass_exact_on_the_dense_side(self, seed):
         """At 64^2 every transform is a matrix product; the mean is summed
         from the data, so the mass of n stays within one rounding of the unit
-        initial mass over 256 steps.  Taken from the DC coefficient of the
-        product instead, it drifts to 1.4e-14 (seed 1) and 8.9e-16 (seed 3)."""
+        initial mass over about 250 steps.  Taken from the DC coefficient of the
+        product instead, it drifts to 1.4e-14 (seed 1) and 8.9e-16 (seed 3)
+        over 256 steps of the fixed cap, to T = 0.0125."""
         assert 64 <= DENSE_MAX
-        params, initial = scenario_library((64, 64))["random_perturbation"].build(seed, T=0.0125)
+        params, initial = scenario_library((64, 64))["random_perturbation"].build(seed, T=0.048)
         traj = run(params, initial)
         assert traj.completed and traj.steps >= 200
         drift = float(np.abs(traj.series.mass_n - traj.mass_n0).max()) / traj.mass_n0

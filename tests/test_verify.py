@@ -73,7 +73,7 @@ class TestScenarios:
         params = SimParams(
             grid=g,
             sensitivity=SensitivitySpec(
-                kind="scalar_saturating", C_S=2.5 * float(np.sqrt(C_N))
+                kind="scalar_saturating", C_S=2.5 / float(np.sqrt(C_N))
             ),
             regularization=RegularizationParams(eps=0.1),
             fluid=FluidParams(kappa=1.0, eps=0.1, phi=None),
