@@ -18,7 +18,6 @@ from .diagnostics import (
     fit_decay_rate,
     grad_c_norms,
     lyapunov,
-    lyapunov_budget,
     make_lyapunov_config,
     poincare_constant,
     steady_state_distance,

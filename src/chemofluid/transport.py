@@ -34,8 +34,6 @@ from .sensitivity import (
 __all__ = [
     "PositivityError",
     "advective_flux",
-    "TransportTerms",
-    "transport_terms",
     "step_n",
     "step_c",
     "DissipationRecord",
@@ -62,43 +60,6 @@ def advective_flux(q: ScalarField, u: VectorField) -> VectorField:
         q_up *= u.components[d]
         comps.append(q_up)
     return VectorField(g, comps)
-
-
-@dataclass(frozen=True)
-class TransportTerms:
-    """Assembled face fluxes and the reaction source of one coupled step.
-
-    Every flux field carries exactly zero wall faces, which is what makes the
-    cell-sum identities exact.
-    """
-
-    diffusive_n: VectorField
-    chemotactic: VectorField
-    advective_n: VectorField
-    diffusive_c: VectorField
-    advective_c: VectorField
-    reaction: ScalarField  # -c + n
-
-
-def transport_terms(
-    n: ScalarField,
-    c: ScalarField,
-    u: VectorField,
-    spec: SensitivitySpec,
-    reg: RegularizationParams,
-    rho_faces=None,
-) -> TransportTerms:
-    """Build the named flux bundle (diagnostic view of what the steps use)."""
-    from .sensitivity import chemotactic_flux
-
-    return TransportTerms(
-        diffusive_n=gradient_cc(n),
-        chemotactic=chemotactic_flux(n, c, spec, reg, rho_faces),
-        advective_n=advective_flux(n, u),
-        diffusive_c=gradient_cc(c),
-        advective_c=advective_flux(c, u),
-        reaction=ScalarField(n.grid, n.data - c.data),
-    )
 
 
 def step_n(

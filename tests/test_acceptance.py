@@ -90,13 +90,32 @@ class TestCriterion3LyapunovMonotonicity:
         cfg = traj.lyapunov_config
         assert isinstance(cfg, LyapunovConfig), "smallness condition must hold here"
         t0 = transient_end_time(traj.series)
-        frac, total = budget_check_series(traj.series, cfg, tol_disc, t_start=t0)
+        frac, total, worst = budget_check_series(traj.series, cfg, tol_disc, t_start=t0)
         ok = frac >= 0.99 and elapsed <= 300.0
         report(
             3,
             ok,
             f"dL/dt <= bound_rhs + tol_disc at {100 * frac:.3f}% of {total} steps "
-            f"(>=99%), tol_disc {tol_disc:.3e}, runtime {elapsed:.0f}s (<=300s)",
+            f"(>=99%), worst gap {worst:.3e}, tol_disc {tol_disc:.3e}, "
+            f"runtime {elapsed:.0f}s (<=300s)",
+        )
+
+    def test_dissipation_budget_rotational_flux(self, library):
+        """The paper's case: the drift tensor turned by theta = pi/2."""
+        params, initial = library["rotational_flux"].build(0)
+        traj = run(params, initial)
+        cfg = traj.lyapunov_config
+        assert traj.completed, traj.error
+        assert isinstance(cfg, LyapunovConfig), "smallness condition must hold here"
+        tol_disc = calibrate_tol_disc(params, initial)
+        t0 = transient_end_time(traj.series)
+        frac, total, worst = budget_check_series(traj.series, cfg, tol_disc, t_start=t0)
+        report(
+            3,
+            frac >= 0.99,
+            f"rotational_flux (theta = pi/2): dL/dt <= bound_rhs + tol_disc at "
+            f"{100 * frac:.3f}% of {total} steps (>=99%), worst gap {worst:.3e}, "
+            f"tol_disc {tol_disc:.3e}",
         )
 
 

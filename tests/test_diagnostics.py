@@ -14,7 +14,6 @@ from chemofluid.diagnostics import (
     fit_decay_rate,
     grad_c_norms,
     lyapunov,
-    lyapunov_budget,
     make_lyapunov_config,
     poincare_constant,
     steady_state_distance,
@@ -157,9 +156,9 @@ class TestLyapunovConfig:
         assert traj.completed, traj.error
         cfg = traj.lyapunov_config
         assert isinstance(cfg, LyapunovConfig)
-        frac, total = budget_check_series(traj.series, cfg, 0.0)
+        frac, total, worst = budget_check_series(traj.series, cfg, 0.0)
         assert total == traj.steps >= 100
-        assert frac == 1.0
+        assert frac == 1.0 and worst < 0.0
 
 
 class TestLyapunovValue:
@@ -216,30 +215,6 @@ class TestLyapunovValue:
         )
         assert lyapunov(st2, cfg) > 0
         assert steady_state_distance(st2).n_inf > 0
-
-
-class TestBudget:
-    def test_steady_gives_zero_bound(self, grid2d):
-        cfg = make_lyapunov_config(0.5, 1.0 / np.pi**2)
-        rec = lyapunov_budget(State.homogeneous(grid2d, 1.0), cfg)
-        assert rec.value == 0.0 and rec.bound_rhs == 0.0
-
-    def test_gradient_only_bound(self, grid2d):
-        cfg = make_lyapunov_config(0.5, 1.0 / np.pi**2)
-        st = State(
-            t=0.0,
-            n=ScalarField.full(grid2d, 1.0),
-            c=ScalarField.from_function(grid2d, lambda x, y: 1 + 0.2 * np.cos(np.pi * x)),
-            u=VectorField.zeros(grid2d),
-            P=ScalarField.zeros(grid2d),
-        )
-        rec = lyapunov_budget(st, cfg)
-        # n == nbar: only the gradient term is active
-        from chemofluid.transport import dissipation_integrals
-
-        D = dissipation_integrals(st.n, st.c, st.u, 1.0)
-        assert rec.bound_rhs == pytest.approx(-cfg.a2 * D.D_c, rel=1e-13)
-        assert rec.bound_rhs < 0
 
 
 class TestFitDecayRate:
@@ -394,33 +369,6 @@ class TestWeakResidual:
 
 
 class TestIntegratedDissipation:
-    def test_window_sum_finite_and_additive(self):
-        from chemofluid.diagnostics import integrated_dissipation
-        from chemofluid.verify import bump_field, default_phi
-
-        g = make_grid(2, (1.0, 1.0), (16, 16))
-        params = SimParams(
-            grid=g,
-            sensitivity=SensitivitySpec(kind="scalar_saturating", C_S=0.5),
-            regularization=RegularizationParams(eps=0.1),
-            fluid=FluidParams(kappa=1.0, eps=0.1, phi=default_phi(g)),
-            T=0.02,
-        )
-        init = State(
-            t=0.0,
-            n=bump_field(g, 1.0, 0.5),
-            c=ScalarField.full(g, 0.5),
-            u=VectorField.zeros(g),
-            P=ScalarField.zeros(g),
-        )
-        traj = run(params, init)
-        total = integrated_dissipation(traj.series)
-        assert np.isfinite(total) and total > 0
-        mid = float(traj.series.t[len(traj.series) // 2])
-        left = integrated_dissipation(traj.series, None, mid)
-        right = integrated_dissipation(traj.series, mid, None)
-        assert total == pytest.approx(left + right, rel=1e-12)
-
     def test_residuals_exposed_per_step(self):
         from chemofluid.verify import scenario_library
 

@@ -233,23 +233,3 @@ class TestDissipation:
         c = ScalarField(grid2d, rng.uniform(0, 2, grid2d.shape))
         rec = dissipation_integrals(n, c, u, alpha=2.0)
         assert rec.D_n >= 0 and rec.D_c >= 0 and rec.D_u >= 0
-
-
-class TestTransportTerms:
-    def test_every_flux_has_zero_wall_faces(self, grid2d, rng):
-        from chemofluid.transport import transport_terms
-
-        solver = PoissonSolver(grid2d)
-        u = helmholtz_project(random_vector(grid2d, rng, scale=0.5), solver)
-        n = ScalarField(grid2d, rng.uniform(0.1, 2.0, grid2d.shape))
-        c = ScalarField(grid2d, rng.uniform(0.0, 2.0, grid2d.shape))
-        terms = transport_terms(n, c, u, SPEC, REG)
-        for flux in (
-            terms.diffusive_n,
-            terms.chemotactic,
-            terms.advective_n,
-            terms.diffusive_c,
-            terms.advective_c,
-        ):
-            assert flux.wall_normal_max() == 0.0
-        assert np.array_equal(terms.reaction.data, n.data - c.data)

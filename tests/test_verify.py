@@ -9,12 +9,20 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import chemofluid.stepper as stepper_mod
 import chemofluid.verify as verify_mod
-from chemofluid.diagnostics import LyapunovInfeasible, poincare_constant
+from chemofluid.diagnostics import (
+    LyapunovInfeasible,
+    budget_check_series,
+    lyapunov,
+    make_lyapunov_config,
+    poincare_constant,
+    transient_end_time,
+)
 from chemofluid.grid import make_grid
 from chemofluid.manufactured import mms_cases
 from chemofluid.sensitivity import RegularizationParams, SensitivitySpec
-from chemofluid.stepper import SimParams, State, run
+from chemofluid.stepper import SimParams, State, cfl_dt, run
 from chemofluid.fluid import FluidParams
 from chemofluid.verify import (
     Scenario,
@@ -148,11 +156,62 @@ class TestScenarios:
         assert all(r.trajectory is reports[0].trajectory for r in reports)
 
 
+class _ScaledResolvent:
+    """The run's spectral core with the resolvent coefficient scaled: a
+    diffusion at ``scale`` times its strength, a wrong scheme."""
+
+    def __init__(self, solver, scale):
+        self.solver, self.scale = solver, scale
+
+    def neumann_resolvent(self, data, coef):
+        return self.solver.neumann_resolvent(data, self.scale * coef)
+
+
 class TestToleranceCalibration:
-    def test_probe_produces_finite_tolerance(self, lib):
+    def test_probe_produces_finite_tolerance(self, lib, monkeypatch):
+        """The allowance is the closed form ``K eps L_0 / dt_0``, made
+        without a run."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "run", counted)
+        monkeypatch.setattr(stepper_mod, "run", counted)
         params, initial = lib["random_perturbation"].build(0, T=0.01)
-        tol = calibrate_tol_disc(params, initial, steps=20)
-        assert np.isfinite(tol) and tol >= 0
+        tol = calibrate_tol_disc(params, initial)
+        assert calls == []
+        assert np.isfinite(tol) and tol > 0
+        cfg = make_lyapunov_config(params.sensitivity.C_S, poincare_constant(params.grid))
+        floor = np.finfo(float).eps * lyapunov(initial, cfg) / cfl_dt(initial, params)
+        assert tol == pytest.approx(verify_mod.ROUNDOFF_FACTOR * floor, rel=1e-14)
+
+    def test_no_certificate_no_allowance(self):
+        assert calibrate_tol_disc(*verify_mod._infeasible_build((16, 16), 0)) == 0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.1])
+    def test_budget_fails_a_weak_c_diffusion(self, monkeypatch, scale):
+        """Scaling step_c's resolvent coefficient to 50% or 10% of dt breaks
+        the budget on post-transient steps; the honest scheme keeps all."""
+        honest = stepper_mod.step_c
+
+        def step_c(c, n, u, dt, forcing=None, t=0.0, solver=None):
+            return honest(c, n, u, dt, forcing, t, _ScaledResolvent(solver, scale))
+
+        monkeypatch.setattr(stepper_mod, "step_c", step_c)
+        params, initial = scenario_library((16, 16))["random_perturbation"].build(0)
+        traj = run(params, initial)
+        assert traj.completed, traj.error
+        t0 = transient_end_time(traj.series)
+        frac, total, worst = budget_check_series(
+            traj.series, traj.lyapunov_config, calibrate_tol_disc(params, initial), t_start=t0
+        )
+        assert total >= 200
+        if scale == 1.0:
+            assert frac == 1.0 and worst < 0.0
+        else:
+            assert frac < 0.99
 
 
 class TestEpsilonLadder:
