@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
-import scipy.fft
 
 from . import diagnostics, verify
 from .diagnostics import (
@@ -27,7 +26,7 @@ from .diagnostics import (
     make_lyapunov_config,
     poincare_constant,
 )
-from .fluid import DENSE_MAX
+from .fluid import DENSE_MAX, PoissonSolver
 from .grid import make_grid, write_field_snapshot
 from .stepper import Trajectory, run
 from .verify import scenario_library
@@ -353,8 +352,7 @@ def _cmd_run(args) -> int:
     C_N = poincare_constant(params.grid)
     echo = echo_block(cfg, C_N)
     print(echo)
-    with scipy.fft.set_workers(args.threads):
-        traj = run(params, initial)
+    traj = run(params, initial, PoissonSolver(params.grid, workers=args.threads))
     write_csv(os.path.join(outdir, "series.csv"), traj)
     if cfg.snapshot_every:
         _write_snapshots(outdir, traj)
@@ -511,7 +509,7 @@ def main(argv=None) -> int:
         "--threads",
         type=_positive_int,
         default=1,
-        help=f"scipy.fft workers per transform on axes longer than {DENSE_MAX} cells; shorter "
+        help=f"threads per pocketfft transform on axes longer than {DENSE_MAX} cells; shorter "
         "axes are matrix products and use none (results are identical for any count)",
     )
     p_run.set_defaults(fn=_cmd_run)

@@ -16,17 +16,26 @@ backward-Euler diffusion (``coef = dt``, for n and c in cosine modes and for
 u in sine modes) and the Yosida smoothing of the convecting velocity
 ``(I + eps*A)^{-1} u`` (``coef = eps``, sine modes, then a projection).  The
 core holds one basis per axis: an orthonormal matrix on axes of at most
-``DENSE_MAX`` cells, where a matrix product costs less than a ``scipy.fft``
-call, and the ``scipy.fft`` transform on longer axes.
+``DENSE_MAX`` cells, where a matrix product costs less than a transform call,
+and pocketfft's DCT/DST kernels on longer axes.
+
+The kernels are scipy's compiled pocketfft binding, loaded from its file on
+its own (``_load_kernels``): importing the ``scipy.fft`` package would pull in
+``scipy.special`` and cost about 27 MiB per process.  scipy stays a
+dependency.  The binding is called with the arguments ``scipy.fft`` itself
+passes for ``norm="ortho"``, so every result has the same bits as through
+``scipy.fft``, which serves as the fallback when the binding cannot be loaded.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .grid import (
     Grid,
@@ -90,17 +99,80 @@ def separable_eigenvalues(tables) -> np.ndarray:
     return functools.reduce(np.add.outer, tables)
 
 
+def _pocketfft_binding():
+    """scipy's compiled pocketfft module, loaded from its file without running
+    the ``scipy.fft`` package.  ``find_spec`` locates scipy without importing
+    it.  The module gets a private name ending in ``.pypocketfft`` (its init
+    symbol is ``PyInit_pypocketfft``) and is not registered in
+    ``sys.modules``, so a later ``import scipy.fft`` makes its own module."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    folder = os.path.join(spec.submodule_search_locations[0], "fft", "_pocketfft")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "pypocketfft" + suffix)
+        if os.path.isfile(path):
+            name = "chemofluid._kernels.pypocketfft"
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"no pypocketfft extension in {folder}")
+
+
+def _scipy_fft_kernels() -> dict:
+    """The kernels' call form on top of the public ``scipy.fft``: what its
+    ``dctn``/``dstn`` pass to pocketfft for ``norm="ortho"`` is exactly this
+    call, so the bits are the same.  ``inorm`` is always 1 here."""
+    import scipy.fft
+
+    def adapter(transform):
+        def kernel(a, type, axes, inorm, out, nthreads, ortho):
+            return transform(
+                a,
+                type=type,
+                axes=axes,
+                norm="ortho",
+                overwrite_x=out is a,
+                workers=nthreads,
+                orthogonalize=ortho,
+            )
+
+        return kernel
+
+    return {"dct": adapter(scipy.fft.dctn), "dst": adapter(scipy.fft.dstn)}
+
+
+def _load_kernels() -> dict:
+    """pocketfft's ``dct``/``dst`` as ``kernel(a, type, axes, inorm, out,
+    nthreads, ortho)``: the binding itself when it loads and accepts the
+    call form ``PoissonSolver.transform`` uses, else ``scipy.fft``."""
+    try:
+        binding = _pocketfft_binding()
+        kernels = {"dct": binding.dct, "dst": binding.dst}
+        probe = np.ones((2, 3))
+        for kernel in kernels.values():
+            kernel(probe, 2, (1,), 1, None, 1, True)
+            kernel(probe, 2, (0,), 1, probe, 1, True)
+        return kernels
+    except (ImportError, AttributeError, TypeError, ValueError, RuntimeError):
+        return _scipy_fft_kernels()
+
+
+# checked once, at import: every transform goes through these two
+_KERNELS = _load_kernels()
+
 # Axes of at most this many cells are transformed by a dense orthonormal
-# matrix product, longer ones by scipy.fft: up to here the product beats
-# pocketfft's fixed cost per call for all three bases (single-thread table in
-# CHANGES.md), beyond it the O(N log N) transform wins.
+# matrix product, longer ones by a pocketfft kernel: up to here the product
+# beats pocketfft's fixed cost per call for all three bases (single-thread
+# table in CHANGES.md), beyond it the O(N log N) transform wins.
 DENSE_MAX = 96
 
-# The three 1-D bases of the spectral core: (scipy.fft function, forward type,
-# inverse type, points relative to the N cells of the axis).  Cosine modes of
-# the zero-flux cell Laplacian (DCT-II), sine modes of the no-slip Laplacian
-# along a face component's own axis (DST-I, interior faces) and half-offset
-# sine modes across it (DST-II).
+# The three 1-D bases of the spectral core: (pocketfft kernel in _KERNELS,
+# forward type, inverse type, points relative to the N cells of the axis).
+# Cosine modes of the zero-flux cell Laplacian (DCT-II), sine modes of the
+# no-slip Laplacian along a face component's own axis (DST-I, interior faces)
+# and half-offset sine modes across it (DST-II).
 _BASES = {
     "cosine": ("dct", 2, 3, 0),
     "wall_sine": ("dst", 1, 1, -1),
@@ -111,10 +183,10 @@ _BASES = {
 def dense_basis(kind: str, N: int) -> np.ndarray:
     """Orthonormal matrix ``M`` of a basis on an axis of ``N`` cells: the
     forward transform along axis 0 is ``M @ x``, the inverse ``M.T @ x``.
-    Built by running the transform on the identity, so that the matrix and
-    the ``scipy.fft`` path share mode order and normalisation."""
-    fname, forward, _, extra = _BASES[kind]
-    return getattr(scipy.fft, fname)(np.eye(N + extra), type=forward, axis=0, norm="ortho")
+    Built by running the kernel on the identity, so that the matrix and the
+    transform path share mode order and normalisation."""
+    kname, forward, _, extra = _BASES[kind]
+    return _KERNELS[kname](np.eye(N + extra), forward, (0,), 1, None, 1, True)
 
 
 def _along_axis(M: np.ndarray, MT: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
@@ -151,14 +223,16 @@ class PoissonSolver:
     and one basis per axis and operator, and applies the zero-flux resolvent
     itself (``neumann_resolvent``).  Every transform goes through
     ``transform``: an axis of at most ``DENSE_MAX`` cells is a product with
-    the basis's orthonormal matrix (``dense_basis``), a longer one a
-    ``scipy.fft`` call (one ``dctn`` over the long axes for cells, one
-    ``dst`` per long axis for faces).
+    the basis's orthonormal matrix (``dense_basis``), a longer one a call of
+    pocketfft's kernel (one ``dct`` over the long axes for cells, one ``dst``
+    per long axis for faces) with ``workers`` threads.  The thread count
+    never changes a result.
     """
 
-    def __init__(self, grid: Grid, tol: float = 1e-10):
+    def __init__(self, grid: Grid, tol: float = 1e-10, workers: int = 1):
         self.grid = grid
         self.tol = tol
+        self.workers = workers
         axes = list(zip(grid.cells, grid.spacing))
         # the 1-D tables of the spectral core: cosine modes 0..N-1, and sine
         # modes 1..N (DST-II) whose first N-1 entries are the DST-I modes
@@ -201,11 +275,12 @@ class PoissonSolver:
                         matrices[kind, N] = (M, np.ascontiguousarray(M.T))
                     dense.append((e, matrices[kind, N]))
                 elif kind != "cosine":  # faces: one DST per long axis
-                    fname, forward, inverse, _ = _BASES[kind]
-                    fft.append((fname, forward, inverse, {"axis": e}))
+                    kname, forward, inverse, _ = _BASES[kind]
+                    fft.append((_KERNELS[kname], forward, inverse, (e,)))
             long_axes = tuple(e for e, N in enumerate(grid.cells) if N > DENSE_MAX)
             if component is None and long_axes:  # cells: one DCT over the long axes
-                fft.append(("dctn", 2, 3, {"axes": long_axes}))
+                kname, forward, inverse, _ = _BASES["cosine"]
+                fft.append((_KERNELS[kname], forward, inverse, long_axes))
             self._plans[component] = (dense, fft)
         self._denominators_of = None  # (coef, component) the buffer holds
         self._handoff = None  # (q, gradient_cc(q)) of the last solve, until taken
@@ -219,17 +294,17 @@ class PoissonSolver:
         otherwise.
 
         Short axes are matrix products (the inverse uses the transpose), long
-        axes ``scipy.fft`` calls.  ``overwrite`` lets the first transform
-        reuse ``x``; later ones always reuse their input.
+        axes kernel calls with ``inorm=1, ortho=True``: the orthonormal
+        transform.  ``overwrite`` lets the first transform write into ``x``;
+        later ones always reuse their input.
         """
         dense, fft = self._plans[component]
         for axis, (M, MT) in dense:
             x = _along_axis(MT, M, x, axis) if inverse else _along_axis(M, MT, x, axis)
             overwrite = True
-        for fname, forward, backward, where in fft:
-            x = getattr(scipy.fft, fname)(
-                x, type=backward if inverse else forward, norm="ortho", overwrite_x=overwrite, **where
-            )
+        for kernel, forward, backward, axes in fft:
+            kind = backward if inverse else forward
+            x = kernel(x, kind, axes, 1, x if overwrite else None, self.workers, True)
             overwrite = True
         return x
 

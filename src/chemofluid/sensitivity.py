@@ -291,7 +291,10 @@ def _face_drift_components(
             # rho C_S (1 + n~)^(-alpha) f_eps(n~) (R grad c)_d, one pass per factor
             drift = np.multiply(rho_faces[d], spec.C_S)
             np.add(n_up, 1.0, out=work)
-            np.power(work, -spec.alpha, out=work)
+            if spec.alpha == 1.0:  # the same bits as the power, at half its cost
+                np.divide(1.0, work, out=work)
+            else:
+                np.power(work, -spec.alpha, out=work)
             drift *= work
             if reg.eps != 0.0:  # f_eps = 1 exactly otherwise
                 np.multiply(n_up, reg.eps, out=work)

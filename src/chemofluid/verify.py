@@ -14,6 +14,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: here, not in a scenario's seeded set-up
 
 from .diagnostics import (
     LyapunovConfig,

@@ -4,8 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.fft
 
+from chemofluid import fluid
 from chemofluid.cli import (
     _SCHEMA,
     ConfigError,
@@ -16,7 +16,7 @@ from chemofluid.cli import (
     serialize_config,
 )
 from chemofluid.diagnostics import CSV_COLUMNS
-from chemofluid.fluid import DENSE_MAX
+from chemofluid.fluid import DENSE_MAX, PoissonSolver
 from chemofluid.stepper import STEP_BOUNDS
 
 MINIMAL = """
@@ -138,15 +138,33 @@ class TestRunCommand:
 
     def test_byte_identical_rerun_and_threads(self, tmp_path, monkeypatch):
         # 24^2 runs on matrix products only; the long axis of the second grid
-        # takes scipy.fft calls, which run with the requested workers
+        # takes pocketfft kernel calls, which get the requested thread count
         long_axis = MINIMAL.replace("cells = 24,24", f"cells = {DENSE_MAX + 1},8").replace(
             "extents = 1.0,1.0", "extents = 4.0,1.0"
         )
-        workers = []
-        dctn = scipy.fft.dctn
-        monkeypatch.setattr(
-            scipy.fft, "dctn", lambda *a, **k: workers.append(scipy.fft.get_workers()) or dctn(*a, **k)
-        )
+        # the nthreads of every kernel call a transform makes (the dense bases
+        # are built by kernel calls too, outside any transform)
+        workers, inside = [], []
+        transform = PoissonSolver.transform
+
+        def recorded_transform(self, *args, **kwargs):
+            inside.append(True)
+            try:
+                return transform(self, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        def recorded(kernel):
+            def call(*args):  # kernel(a, type, axes, inorm, out, nthreads, ortho)
+                if inside:
+                    workers.append(args[5])
+                return kernel(*args)
+
+            return call
+
+        monkeypatch.setattr(PoissonSolver, "transform", recorded_transform)
+        for name, kernel in list(fluid._KERNELS.items()):
+            monkeypatch.setitem(fluid._KERNELS, name, recorded(kernel))
         for k, body in enumerate((MINIMAL, long_axis)):
             cfg = self._write_cfg(tmp_path, body)
             outs = []

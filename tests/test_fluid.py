@@ -1,11 +1,17 @@
 """Projection, Yosida smoothing, and the momentum substep."""
 
+import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.fft
 
+from chemofluid import fluid
+from chemofluid.diagnostics import CSV_COLUMNS
 from chemofluid.fluid import (
     DENSE_MAX,
     FluidParams,
@@ -37,6 +43,7 @@ from chemofluid.grid import (
     vector_l2_sq,
 )
 
+from chemofluid.stepper import run
 from chemofluid.verify import random_smooth_field, scenario_library, swirl_velocity
 
 from conftest import random_scalar, random_vector
@@ -154,7 +161,7 @@ class TestSpectralCore:
         fn, forward, inverse, points = SCIPY_BASES[kind]
         M = dense_basis(kind, N)
         L = points(N)
-        assert M.shape == (L, L)
+        assert np.array_equal(M, fn(np.eye(L), type=forward, axis=0, norm="ortho"))
         x = rng.standard_normal((L, 3))
         assert np.abs(M @ x - fn(x, type=forward, axis=0, norm="ortho")).max() <= 1e-13
         assert np.abs(M.T @ x - fn(x, type=inverse, axis=0, norm="ortho")).max() <= 1e-13
@@ -163,16 +170,16 @@ class TestSpectralCore:
     @pytest.mark.parametrize("N", [DENSE_MAX, DENSE_MAX + 1])
     def test_fft_only_past_the_cutoff(self, N, monkeypatch, rng):
         grid = make_grid(2, (1.0, 1.0), (N, 8))
-        solver = PoissonSolver(grid)
         calls = []
-        for name in ("dctn", "dst"):
-            original = getattr(scipy.fft, name)
-            monkeypatch.setattr(
-                scipy.fft, name, lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k)
+        for name, original in list(fluid._KERNELS.items()):
+            monkeypatch.setitem(
+                fluid._KERNELS, name, lambda *a, _f=original: calls.append(1) or _f(*a)
             )
+        solver = PoissonSolver(grid)  # its plans take the kernels at construction
+        calls.clear()  # the dense bases are built by kernel calls too
         solver.neumann_resolvent(rng.standard_normal(grid.shape), 0.1)
         diffusion_resolvent(random_vector(grid, rng), 0.1, solver)
-        # cells: one dctn each way; faces: one dst each way per component
+        # cells: one dct each way; faces: one dst each way per component
         assert len(calls) == (0 if N <= DENSE_MAX else 2 + 2 * 2)
 
     @pytest.mark.parametrize("extents, cells", MIXED_GRIDS)
@@ -213,6 +220,129 @@ class TestSpectralCore:
             walls = np.ones(got.shape, dtype=bool)
             walls[interior] = False
             assert np.all(got[walls] == 0.0)
+
+
+# grids whose plans hold every (kernel, type, axes) the core calls: a long axis
+# first or last in 2-D, both long, and 3-D with one or two long axes
+KERNEL_GRIDS = [
+    (DENSE_MAX + 1, 8),
+    (8, DENSE_MAX + 2),
+    (DENSE_MAX + 1, DENSE_MAX + 3),
+    (4, DENSE_MAX + 1, 6),
+    (DENSE_MAX + 2, 4, DENSE_MAX + 1),
+]
+
+SCIPY_NDIM = {"dct": scipy.fft.dctn, "dst": scipy.fft.dstn}
+
+
+def _kernel_calls(cells):
+    """``(name, kernel, type, axes, shape)`` of every long-axis call the core
+    makes on a grid of ``cells``, both directions, for cells and each face
+    component (interior faces along its own axis)."""
+    solver = PoissonSolver(make_grid(len(cells), (1.0,) * len(cells), cells))
+    names = {id(kernel): name for name, kernel in fluid._KERNELS.items()}
+    calls = []
+    for component, (_, fft) in solver._plans.items():
+        shape = tuple(N - (e == component) for e, N in enumerate(cells))
+        for kernel, forward, inverse, axes in fft:
+            for kind in {forward, inverse}:
+                calls.append((names[id(kernel)], kernel, kind, axes, shape))
+    return calls
+
+
+class TestPocketfftKernels:
+    """The kernels the core calls directly against the public scipy.fft, bit
+    for bit, and the scipy.fft fallback against them."""
+
+    def test_the_binding_itself_is_in_use(self):
+        # not the scipy.fft fallback, and not registered as a module
+        for kernel in fluid._KERNELS.values():
+            assert kernel.__module__ == "chemofluid._kernels.pypocketfft"
+        assert "chemofluid._kernels.pypocketfft" not in sys.modules
+
+    def test_import_loads_neither_scipy_fft_nor_special(self):
+        # a fresh interpreter: this one has imported scipy.fft for the references
+        code = (
+            "import sys, numpy as np, chemofluid, chemofluid.cli; "
+            "print(*(m in sys.modules for m in ('scipy.fft', 'scipy.special', 'numpy.random'))); "
+            # scipy.fft still imports, and works, after the binding was loaded
+            "import scipy.fft; x = np.arange(5.0); "
+            "print(np.array_equal(scipy.fft.dct(x, norm='ortho'), "
+            "chemofluid.fluid._KERNELS['dct'](x, 2, (0,), 1, None, 1, True)))"
+        )
+        src = os.path.dirname(os.path.dirname(fluid.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        # numpy.random is loaded with the package, so a seeded set-up imports nothing
+        assert out.stdout.split() == ["False", "False", "True", "True"]
+
+    def test_every_call_is_covered(self):
+        used = {
+            (name, kind, axes)
+            for cells in KERNEL_GRIDS
+            for name, _, kind, axes, _ in _kernel_calls(cells)
+        }
+        # cells: one DCT-II/III over all long axes; faces: DST-I along their
+        # own axis, DST-II/III across it
+        expected = [
+            ("dct", 2, (0,)), ("dct", 3, (1,)), ("dct", 2, (0, 1)), ("dct", 3, (0, 2)),
+            ("dst", 1, (0,)), ("dst", 1, (2,)), ("dst", 2, (1,)), ("dst", 3, (0,)),
+            ("dst", 3, (2,)),
+        ]
+        assert set(expected) <= used
+
+    @pytest.mark.parametrize("cells", KERNEL_GRIDS)
+    def test_kernels_equal_scipy_fft_bitwise(self, cells, rng):
+        for name, kernel, kind, axes, shape in _kernel_calls(cells):
+            x = rng.standard_normal(shape)
+            ref = SCIPY_NDIM[name](x, type=kind, axes=axes, norm="ortho")
+            assert np.array_equal(kernel(x, kind, axes, 1, None, 1, True), ref)
+            assert np.array_equal(kernel(x, kind, axes, 1, None, 2, True), ref)
+            # in place, as for overwrite=True, also on a strided view
+            y = x.copy()
+            assert kernel(y, kind, axes, 1, y, 1, True) is y
+            assert np.array_equal(y, ref)
+            big = np.zeros(tuple(n + 2 for n in shape))
+            view = big[tuple(slice(1, -1) for _ in shape)]
+            view[...] = x
+            assert np.array_equal(kernel(view, kind, axes, 1, view, 1, True), ref)
+            assert np.array_equal(view, ref)
+
+    @pytest.mark.parametrize(
+        "binding",
+        [
+            "missing",  # the file cannot be found or loaded
+            "rejects",  # it loads but rejects the call form
+        ],
+    )
+    def test_fallback_gives_the_same_trajectory_bits(self, binding, monkeypatch):
+        class Rejecting:
+            def dct(self, *args):
+                raise TypeError("incompatible function arguments")
+
+            dst = dct
+
+        def failing():
+            if binding == "missing":
+                raise ImportError("no pypocketfft extension")
+            return Rejecting()
+
+        grid = make_grid(2, (4.0, 1.0), (DENSE_MAX + 1, 8))
+        params, initial = scenario_library(grid=grid)["random_perturbation"].build(3)
+        params = dataclasses.replace(params, max_steps=6)
+
+        direct = run(params, initial)
+        monkeypatch.setattr(fluid, "_pocketfft_binding", failing)
+        kernels = fluid._load_kernels()
+        assert kernels["dct"].__qualname__.startswith("_scipy_fft_kernels")
+        monkeypatch.setattr(fluid, "_KERNELS", kernels)
+        fallback = run(params, initial)
+        assert direct.steps == fallback.steps == 6
+        for name in CSV_COLUMNS:
+            column = getattr(direct.series, name)
+            assert column.tobytes() == getattr(fallback.series, name).tobytes()
 
 
 class TestProjection:

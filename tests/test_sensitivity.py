@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from chemofluid.grid import ScalarField, make_grid
+from chemofluid.grid import ScalarField, _zero_walls, gradient_cc, make_grid
 from chemofluid.sensitivity import (
     RegularizationParams,
     SensitivitySpec,
+    _face_drift_components,
+    _rotated_gradient,
     chemotactic_flux,
     cutoff_rho,
     eval_S_eps,
@@ -171,6 +173,24 @@ class TestChemotacticFlux:
         spec = SensitivitySpec(kind="rotational", C_S=0.5, theta=np.pi / 3)
         J = chemotactic_flux(n, c, spec, RegularizationParams(eps=0.1))
         assert J.wall_normal_max() == 0.0
+
+    def test_alpha_one_drift_equals_the_power_form_bitwise(self, grid2d, rng):
+        # at alpha = 1 the factor (1 + n~)^(-alpha) is taken as 1 / (1 + n~)
+        x = 1.0 + np.concatenate([rng.uniform(0.0, top, 10**5) for top in (1e-3, 1.0, 1e3, 1e6)])
+        assert np.array_equal(np.divide(1.0, x), np.power(x, -1.0))
+        n = ScalarField(grid2d, rng.uniform(0.0, 50.0, grid2d.shape))
+        c = ScalarField(grid2d, rng.uniform(0.0, 2.0, grid2d.shape))
+        spec = SensitivitySpec(kind="rotational", C_S=0.7, alpha=1.0, theta=np.pi / 5)
+        reg = RegularizationParams(eps=0.1)
+        rho = rho_on_faces(grid2d, reg)
+        grad_c = gradient_cc(c)
+        n_up, drift = _face_drift_components(n, c, spec, reg)
+        for d in range(grid2d.dim):
+            # the general path's operations, in its order, with the power
+            sg = _rotated_gradient(grad_c, rotation_matrix(2, spec.theta), d)
+            w = n_up[d] * reg.eps + 1.0
+            ref = rho[d] * spec.C_S * np.power(n_up[d] + 1.0, -1.0) * (1.0 / (w * w * w)) * sg
+            assert np.array_equal(drift[d], _zero_walls(ref, d))
 
     def test_matches_per_face_hand_assembly_1d_profile(self):
         # derived oracle: independent per-face assembly of
