@@ -314,6 +314,10 @@ def _read_input(path: str) -> str:
         raise UsageError(f"cannot read {path!r}: {exc.strerror}") from None
 
 
+def _cannot_write(exc: OSError, path: str) -> UsageError:
+    return UsageError(f"cannot write {(exc.filename or path)!r}: {exc.strerror or exc}")
+
+
 def _usable_grid(dim, extents, cells):
     try:
         return make_grid(dim, extents, cells)
@@ -346,28 +350,34 @@ def _cmd_run(args) -> int:
 
         cfg = dataclasses.replace(cfg, seed=args.seed)
     outdir = args.out or cfg.out or "."
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(exc, outdir) from None
 
     params, initial = _build_run(cfg)
     C_N = poincare_constant(params.grid)
     echo = echo_block(cfg, C_N)
     print(echo)
     traj = run(params, initial, PoissonSolver(params.grid, workers=args.threads))
-    write_csv(os.path.join(outdir, "series.csv"), traj)
-    if cfg.snapshot_every:
-        _write_snapshots(outdir, traj)
-    with open(os.path.join(outdir, "run_report.txt"), "w") as fh:
-        fh.write(echo + "\n")
-        fh.write(f"status = {traj.status}\n")
-        fh.write(f"steps = {traj.steps}\n")
-        fh.write(f"dt_min = {_fmt(traj.dt_min)}\n")
-        fh.write(f"dt_max = {_fmt(traj.dt_max)}\n")
-        for bound, count in traj.steps_by_bound.items():
-            fh.write(f"steps_by_{bound} = {count}\n")
-        if traj.error:
-            fh.write(f"error = {traj.error}\n")
-    with open(os.path.join(outdir, "config.echo"), "w") as fh:
-        fh.write(serialize_config(cfg))
+    try:
+        write_csv(os.path.join(outdir, "series.csv"), traj)
+        if cfg.snapshot_every:
+            _write_snapshots(outdir, traj)
+        with open(os.path.join(outdir, "run_report.txt"), "w") as fh:
+            fh.write(echo + "\n")
+            fh.write(f"status = {traj.status}\n")
+            fh.write(f"steps = {traj.steps}\n")
+            fh.write(f"dt_min = {_fmt(traj.dt_min)}\n")
+            fh.write(f"dt_max = {_fmt(traj.dt_max)}\n")
+            for bound, count in traj.steps_by_bound.items():
+                fh.write(f"steps_by_{bound} = {count}\n")
+            if traj.error:
+                fh.write(f"error = {traj.error}\n")
+        with open(os.path.join(outdir, "config.echo"), "w") as fh:
+            fh.write(serialize_config(cfg))
+    except OSError as exc:
+        raise _cannot_write(exc, outdir) from None
     if not traj.completed:
         print(f"run aborted: {traj.error}", file=sys.stderr)
         return 1

@@ -317,11 +317,14 @@ class PoissonSolver:
         threshold goes below the roundoff floor ``8 eps lambda_max ||q||``.
         The residual applies ``laplacian_neumann`` as its two halves,
         ``divergence_fc(gradient_cc(q))``; ``take_gradient`` hands that
-        gradient over to a projection.
+        gradient over to a projection.  ``b`` is only read; the solve drops
+        its reference once ``mean(b) - b`` is formed, so a ``b`` the caller
+        holds no reference to is freed there.
         """
         self._handoff = None
         b = np.asarray(b, dtype=np.float64)
         rhs = b.mean() - b  # -Lap q = rhs
+        del b
         rhs_norm = float(np.sqrt((rhs * rhs).sum()))
         if rhs_norm == 0.0:
             self.last_residual = 0.0
@@ -427,13 +430,14 @@ def project_with_potential(w: VectorField, solver: PoissonSolver):
     ``1e-10 * ||w|| / sqrt(vol)`` in cell-l2, giving
     ``||div(P w)||_L2 <= 1e-10 * ||w||_L2``.  The certificate's residual is
     ``divergence_fc`` of the very ``gradient_cc(q)`` subtracted here: the
-    solve hands it over instead of it being computed twice.
+    solve hands it over instead of it being computed twice.  ``div(w)`` goes
+    to the solve without a name here, so it dies once the solve has formed
+    its right-hand side.
     """
     w.check_finite("projection input")
-    rhs = divergence_fc(w)
     w_norm = np.sqrt(vector_l2_sq(w))
     abs_target = 1e-10 * w_norm / np.sqrt(w.grid.volume_element)
-    q = solver.solve(rhs.data, abs_target=abs_target)
+    q = solver.solve(divergence_fc(w).data, abs_target=abs_target)
     grad_q = solver.take_gradient(q)
     comps = [np.subtract(wc, gc, out=gc) for wc, gc in zip(w.components, grad_q.components)]
     return VectorField(w.grid, comps), ScalarField(w.grid, q), solver.last_residual

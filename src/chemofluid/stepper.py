@@ -350,7 +350,11 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
     every step, since ``snapshot_every`` counts steps.  Any substep failure,
     a step guard's ``ValueError`` included, ends the run with status
     "aborted", an error prefixed ``step k:`` and the partial trajectory
-    retained.
+    retained; ``final_state()`` is then the last completed step's state.
+
+    The run uses ``initial``'s ``n``, ``c`` and ``P`` (and ``u`` when it is
+    zero) without copying and never writes into them: ``snapshots[0]``
+    holds the caller's arrays.
     """
     g = params.grid
     if solver is None:
@@ -358,7 +362,7 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
     initial.validate()
 
     u0 = helmholtz_project(initial.u, solver) if initial.u.max_abs() > 0 else initial.u
-    state = State(t=initial.t, n=initial.n.copy(), c=initial.c.copy(), u=u0, P=initial.P.copy())
+    state = State(t=initial.t, n=initial.n, c=initial.c, u=u0, P=initial.P)
 
     nbar0 = state.n.mean()
     mass_n0 = integrate(state.n)

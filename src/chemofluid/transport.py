@@ -79,8 +79,10 @@ def step_n(
     backward-Euler diffusion.
 
     ``drift`` may carry precomputed ``(n_up, drift)`` face states from the
-    CFL evaluation to avoid recomputing the chemotactic velocity, and
-    ``solver`` the run's spectral core for the diffusion resolvent.
+    CFL evaluation to avoid recomputing the chemotactic velocity; the step
+    consumes them: the drift arrays are overwritten with ``n_up * drift`` and
+    both lists are emptied before the divergence.  ``solver`` may carry the
+    run's spectral core for the diffusion resolvent.
     ``forcing`` (manufactured solutions) adds ``dt * f(coords, t)`` and
     intentionally breaks mass conservation.
     """
@@ -96,8 +98,11 @@ def step_n(
     n_up, vel = drift
 
     adv = advective_flux(n, u)
-    for comp, n_d, vel_d in zip(adv.components, n_up, vel):  # n~ u + n~ drift, in place
-        comp += np.multiply(n_d, vel_d)
+    for d, comp in enumerate(adv.components):  # n~ u + n~ drift, in place
+        comp += np.multiply(n_up[d], vel[d], out=vel[d])
+    # emptied, not unbound, so that the caller's reference frees them too
+    n_up.clear()
+    vel.clear()
     data = divergence_fc(adv).data
     data *= -dt
     data += n.data

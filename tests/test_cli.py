@@ -251,6 +251,21 @@ class TestRunCommand:
         assert message in err
         assert len(err.splitlines()) == 1, err
 
+    @pytest.mark.parametrize("blocked", ["directory", "output"])
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, blocked):
+        cfg = self._write_cfg(tmp_path)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        if blocked == "directory":  # os.makedirs below a regular file
+            out, path = afile / "sub", afile / "sub"
+        else:  # a directory where series.csv goes
+            out, path = tmp_path / "out", tmp_path / "out" / "series.csv"
+            path.mkdir(parents=True)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"chemofluid run: cannot write {str(path)!r}: "), err
+        assert len(err.splitlines()) == 1, err
+
     def test_anisotropic_grid_honoured(self, tmp_path, capsys):
         body = MINIMAL.replace("cells = 24,24", "cells = 16,8").replace(
             "extents = 1.0,1.0", "extents = 2.0,1.0"

@@ -218,6 +218,109 @@ class TestRun:
         assert traj.steps == 1 and len(traj.series) == 2
 
 
+def stokes_scenario(cells, seed=1):
+    """``random_perturbation`` in the Stokes regime from rest, as the
+    stokes256 benchmark runs it: no initial projection, and one Poisson
+    solve per step (the buoyant projection), so solve k is in step k."""
+    params, initial = scenario_library(cells)["random_perturbation"].build(seed)
+    fluid = FluidParams(kappa=0.0, eps=params.fluid.eps, phi=params.fluid.phi)
+    params = dataclasses.replace(params, fluid=fluid)
+    return params, dataclasses.replace(initial, u=VectorField.zeros(params.grid))
+
+
+class FailsOnSolve(PoissonSolver):
+    """A solver whose ``k``-th solve raises."""
+
+    def __init__(self, grid, k):
+        super().__init__(grid)
+        self.k, self.calls = k, 0
+
+    def solve(self, b, abs_target=None):
+        self.calls += 1
+        if self.calls == self.k:
+            raise SolverFailure("forced failure", float("nan"))
+        return super().solve(b, abs_target)
+
+
+def fields_of(state):
+    return [state.n.data, state.c.data, state.P.data, *state.u.components]
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_abort_in_the_fluid_step_keeps_the_last_state(self, k):
+        """A failure in step k's projection comes after that step's n and c
+        are computed; the run still ends with step k-1's state, bit for bit."""
+        params, initial = stokes_scenario((32, 32))
+        params = dataclasses.replace(params, T=1.0)
+        traj = run(params, initial, solver=FailsOnSolve(params.grid, k))
+        assert traj.status == "aborted"
+        assert traj.error.startswith(f"step {k}: SolverFailure: forced failure")
+        assert traj.steps == k - 1
+        ref = run(dataclasses.replace(params, max_steps=k - 1), initial)
+        assert ref.completed and ref.steps == k - 1
+        final, expected = traj.final_state(), ref.final_state()
+        assert final.t == expected.t
+        for a, b in zip(fields_of(final), fields_of(expected)):
+            assert np.array_equal(a, b)
+        for col in CSV_COLUMNS:
+            assert np.array_equal(traj.series.column(col), ref.series.column(col)), col
+
+    @pytest.mark.parametrize("kind", ["controlled", "snapshots", "aborted"])
+    @pytest.mark.parametrize("stokes", [True, False], ids=["stokes_at_rest", "swirl"])
+    def test_run_never_writes_into_the_initial_fields(self, kind, stokes, rng):
+        """``run`` uses the caller's arrays without copying: they come back
+        unchanged, and ``snapshots[0]`` holds them."""
+        if stokes:
+            params, initial = stokes_scenario((16, 16))
+        else:  # kappa > 0 and a swirl, projected once before the first step
+            params, initial = scenario_library((16, 16))["random_perturbation"].build(1)
+        # a nonzero pressure, so that a write into it would show
+        initial = dataclasses.replace(
+            initial, P=ScalarField(params.grid, rng.standard_normal(params.grid.shape))
+        )
+        before = [a.copy() for a in fields_of(initial)]
+        solver = None
+        if kind == "snapshots":
+            params = dataclasses.replace(params, snapshot_every=2, max_steps=5)
+        elif kind == "aborted":
+            params = dataclasses.replace(params, T=1.0)
+            solver = FailsOnSolve(params.grid, 6)
+        else:
+            params = dataclasses.replace(params, max_steps=5)
+        traj = run(params, initial, solver)
+        assert traj.status == ("aborted" if kind == "aborted" else "completed")
+        assert traj.steps >= 2
+        for a, b in zip(fields_of(initial), before):
+            assert np.array_equal(a, b)
+        first = traj.snapshots[0][1]
+        assert first.n is initial.n and first.c is initial.c and first.P is initial.P
+        assert (first.u is initial.u) == stokes  # a swirl is projected first
+
+    def test_run_holds_no_copies_and_no_dead_fields(self):
+        """The traced peak of a short buoyant Stokes run after a warm-up: the
+        run takes the initial fields without copies, and the Poisson solve
+        drops the projection's divergence once it has its right-hand side.
+        The peak, reached in the projection's certificate, is 10.0 face
+        pairs; with three initial copies and the divergence alive it was
+        12.0."""
+        import tracemalloc
+
+        params, initial = stokes_scenario((64, 64))
+        params = dataclasses.replace(params, max_steps=2)
+        solver = PoissonSolver(params.grid)
+        # a first run keeps one-time allocations out of the count
+        run(params, initial, solver)
+        tracemalloc.start()
+        try:
+            traj = run(params, initial, solver)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.completed
+        assert peak <= 11 * (2 * 64 * 65 * 8)
+
+
 class TestSharedDerivatives:
     def test_series_equal_to_unshared_stepping(self):
         """A recorded row's derivatives feed the next step without changing a

@@ -7,7 +7,11 @@ import scipy.sparse as sps
 
 from chemofluid.fluid import PoissonSolver, helmholtz_project
 from chemofluid.grid import ScalarField, VectorField, integrate, make_grid
-from chemofluid.sensitivity import RegularizationParams, SensitivitySpec
+from chemofluid.sensitivity import (
+    RegularizationParams,
+    SensitivitySpec,
+    _face_drift_components,
+)
 from chemofluid.transport import (
     PositivityError,
     dissipation_integrals,
@@ -41,6 +45,19 @@ class TestStepN:
         dt = 0.2 * small_dt(grid2d)
         out = step_n(n, c, u, SPEC, REG, dt)
         assert abs(integrate(out) - integrate(n)) <= 1e-12 * integrate(n)
+
+    def test_consumes_the_drift_it_is_handed(self, grid2d, rng):
+        """Handed the CFL's face states, ``step_n`` gives the same bits as
+        computing them itself, and empties both lists."""
+        solver = PoissonSolver(grid2d)
+        u = helmholtz_project(random_vector(grid2d, rng, scale=0.5), solver)
+        n = ScalarField(grid2d, rng.uniform(0.1, 2.0, grid2d.shape))
+        c = ScalarField(grid2d, rng.uniform(0.0, 2.0, grid2d.shape))
+        dt = 0.2 * small_dt(grid2d)
+        drift = _face_drift_components(n, c, SPEC, REG)
+        handed = step_n(n, c, u, SPEC, REG, dt, drift=drift)
+        assert drift == ([], [])
+        assert np.array_equal(handed.data, step_n(n, c, u, SPEC, REG, dt).data)
 
     def test_negative_input_rejected(self, grid2d):
         n = ScalarField.full(grid2d, -0.5)
