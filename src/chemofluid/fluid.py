@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -49,6 +50,7 @@ from .grid import (
     divergence_fc,
     face_component_at_faces,
     gradient_cc,
+    gradient_component,
     vector_l2_sq,
 )
 
@@ -189,6 +191,18 @@ def dense_basis(kind: str, N: int) -> np.ndarray:
     return _KERNELS[kname](np.eye(N + extra), forward, (0,), 1, None, 1, True)
 
 
+def _outer_sum(tables: list, out: np.ndarray) -> np.ndarray:
+    """``(t0 + t1) + t2 ...`` of 1-D tables shaped to broadcast, into ``out``:
+    the bits of ``separable_eigenvalues(tables)``.  ``t1`` is copied in first
+    and ``t0`` added to it (addition commutes): at 256^2 a broadcast copy and
+    an add cost 65 us against 87 us for one broadcast add of two tables."""
+    np.copyto(out, tables[1])
+    out += tables[0]
+    for t in tables[2:]:
+        out += t
+    return out
+
+
 def _along_axis(M: np.ndarray, MT: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     """``M`` applied to every 1-D line of ``x`` along ``axis`` as one matrix
     product, given also its transpose ``MT`` (C-contiguous, which BLAS takes
@@ -207,9 +221,12 @@ class PoissonSolver:
 
     Solves ``Lap q = b`` in the mean-zero gauge.  On a uniform box the DCT-II
     diagonalizes the stencil exactly, so a solve is one forward transform, a
-    scaling by the inverse eigenvalues precomputed here (zero at the k = 0
-    nullspace entry, which also drops the mean of ``b``: the compatibility
-    condition), one inverse transform and a mean subtraction.  One
+    scaling by the inverse eigenvalues (zero at the k = 0 nullspace entry,
+    which also drops the mean of ``b``: the compatibility condition), one
+    inverse transform and a mean subtraction.  A solve forms the inverse
+    eigenvalues from the 1-D cosine tables into the resolvents' shared
+    buffer unless it holds them already, so the solver holds no field
+    besides that buffer.  One
     application of ``laplacian_neumann`` then certifies the result: its
     residual must lie below ``tol * ||b - mean(b)||`` or the solve raises, a
     NaN residual included.  That threshold is floored at the residual's
@@ -238,10 +255,10 @@ class PoissonSolver:
         # modes 1..N (DST-II) whose first N-1 entries are the DST-I modes
         cosine = [stencil_eigenvalues(N, h, range(N)) for N, h in axes]
         sine = [stencil_eigenvalues(N, h, range(1, N + 1)) for N, h in axes]
-        lam = separable_eigenvalues(cosine)
-        self._roundoff = 8.0 * np.finfo(np.float64).eps * float(lam.max())
-        lam.flat[0] = np.inf  # constant nullspace: its coefficient maps to zero
-        self._inv_eigs = 1.0 / lam
+        # rounding is monotone, so the largest eigenvalue is the sum of the
+        # tables' largest entries, added in separable_eigenvalues' order
+        lam_max = functools.reduce(operator.add, (float(t.max()) for t in cosine))
+        self._roundoff = 8.0 * np.finfo(np.float64).eps * lam_max
         self.last_iterations = 0
         self.last_residual = 0.0
         # one buffer for every resolvent's denominators (no spectrum holds
@@ -282,7 +299,7 @@ class PoissonSolver:
                 kname, forward, inverse, _ = _BASES["cosine"]
                 fft.append((_KERNELS[kname], forward, inverse, long_axes))
             self._plans[component] = (dense, fft)
-        self._denominators_of = None  # (coef, component) the buffer holds
+        self._denominators_of = None  # (coef, component) the buffer holds, or "poisson"
         self._handoff = None  # (q, gradient_cc(q)) of the last solve, until taken
 
     def transform(
@@ -333,7 +350,7 @@ class PoissonSolver:
         if abs_target is not None:
             target = min(target, abs_target)
         spec = self.transform(rhs)
-        spec *= self._inv_eigs
+        spec *= self._inverse_eigenvalues()
         q = self.transform(spec, inverse=True, overwrite=True)
         q -= q.mean()
         grad_q = gradient_cc(ScalarField(self.grid, q))
@@ -357,6 +374,19 @@ class PoissonSolver:
             return handoff[1]
         return gradient_cc(ScalarField(self.grid, q))
 
+    def _inverse_eigenvalues(self) -> np.ndarray:
+        """``1 / lambda`` of the zero-flux cell Laplacian's cosine modes, 0 at
+        the constant mode: the bits of ``1 / separable_eigenvalues(cosine)``.
+        Formed into the solver's one reusable buffer, it stays valid until a
+        ``resolvent_denominators`` call."""
+        tables, out = self._spectra[None]
+        if self._denominators_of != "poisson":
+            _outer_sum(tables, out)
+            out.flat[0] = np.inf  # constant nullspace: its coefficient maps to zero
+            np.divide(1.0, out, out=out)
+            self._denominators_of = "poisson"
+        return out
+
     def resolvent_denominators(self, coef: float, component: int = None) -> np.ndarray:
         """``1 + coef * lambda``: the transform-space denominators of the
         resolvent ``(I - coef*Lap)^{-1}``.
@@ -365,15 +395,13 @@ class PoissonSolver:
         an axis ``d`` the no-slip Laplacian of velocity component ``d`` (sine
         modes 1..N-1 along ``d``, 1..N tangentially).  The result is formed
         from the 1-D tables into the solver's one reusable buffer and stays
-        valid until a call with another ``(coef, component)``.
+        valid until a call with another ``(coef, component)`` or a solve.
         """
         tables, out = self._spectra[component]
         if self._denominators_of != (coef, component):
             first = coef * tables[0]
             first += 1.0
-            np.add(first, coef * tables[1], out=out)
-            for t in tables[2:]:
-                out += coef * t
+            _outer_sum([first] + [coef * t for t in tables[1:]], out)
             self._denominators_of = (coef, component)
         return out
 
@@ -403,21 +431,21 @@ class PoissonSolver:
 class FluidParams:
     """Convection strength, Yosida smoothing, and the gravitational potential.
 
-    ``phi`` is fixed for a run; its face gradient and its mean are
-    precomputed here.  ``kappa = 0`` is the Stokes limit: convection (and
-    with it the Yosida smoothing) is bypassed entirely.
+    ``phi`` is fixed for a run; its mean is precomputed here, and each face
+    component of its gradient is formed where the buoyancy uses it
+    (``gradient_component``), so no face pair is held for the run.
+    ``kappa = 0`` is the Stokes limit: convection (and with it the Yosida
+    smoothing) is bypassed entirely.
     """
 
     kappa: float = 0.0
     eps: float = 0.0
     phi: ScalarField = None
-    grad_phi: VectorField = field(init=False, default=None, repr=False)
     phi_mean: float = field(init=False, default=0.0, repr=False)
 
     def __post_init__(self):
         if self.phi is not None:
             self.phi.check_finite("phi")
-            self.grad_phi = gradient_cc(self.phi)
             self.phi_mean = self.phi.mean()
 
 
@@ -649,7 +677,7 @@ def ns_substep(
     g = u.grid
     umax = u.max_abs()
     if umax == 0.0:
-        if params.grad_phi is None and forcing is None:
+        if params.phi is None and forcing is None:
             solver.last_residual = 0.0
             return VectorField.zeros(g), ScalarField.zeros(g), 0.0
     elif divergence_max(u) > _incompressibility_tolerance(g, umax):
@@ -659,11 +687,11 @@ def ns_substep(
     convective = params.kappa != 0.0 and umax != 0.0
     if convective:
         conv = convection_upwind(yosida_apply(u, params.eps, solver), u)
-    if params.grad_phi is not None:
+    if params.phi is not None:
         # anchored at one cell, so that a constant n has no buoyancy at all
         anchor = float(n.data.flat[0])
         nbar = anchor + float((n.data - anchor).mean())
-    if convective or params.grad_phi is not None or forcing is not None:
+    if convective or params.phi is not None or forcing is not None:
         comps = []
         for d in range(g.dim):
             # -kappa conv + (n - n_mean) grad(phi) + forcing, accumulated in place
@@ -671,10 +699,10 @@ def ns_substep(
             if convective:
                 upd = conv.components[d]
                 upd *= -params.kappa
-            if params.grad_phi is not None:
+            if params.phi is not None:
                 n_face = cells_to_faces(n.data, g, d)
                 n_face -= nbar
-                n_face *= params.grad_phi.components[d]
+                n_face *= gradient_component(params.phi.data, g, d)
                 upd = n_face if upd is None else np.add(upd, n_face, out=upd)
                 # dropped here, or the last component's would live through
                 # the viscous solve and the projection
@@ -694,7 +722,7 @@ def ns_substep(
     u_next, q, proj_residual = project_with_potential(u_star, solver)
     P = q.data
     P /= dt
-    if params.grad_phi is not None:
+    if params.phi is not None:
         pot = params.phi.data - params.phi_mean
         pot *= nbar
         P += pot
@@ -716,14 +744,13 @@ def energy_identity_residual(
     """
     rate = 0.5 * (vector_l2_sq(u_next) - vector_l2_sq(u_prev)) / dt
     rhs = -dirichlet_energy(u_prev)
-    if params.grad_phi is not None:
+    if params.phi is not None:
         g = u_prev.grid
         nbar = n.mean()
         forcing = 0.0
         for d in range(g.dim):
             n_face = cells_to_faces(n.data - nbar, g, d)
-            forcing += float(
-                (n_face * params.grad_phi.components[d] * u_prev.components[d]).sum()
-            )
+            n_face *= gradient_component(params.phi.data, g, d)
+            forcing += float((n_face * u_prev.components[d]).sum())
         rhs += forcing * g.volume_element
     return abs(rate - rhs)

@@ -29,6 +29,7 @@ __all__ = [
     "VectorField",
     "make_grid",
     "gradient_cc",
+    "gradient_component",
     "divergence_fc",
     "laplacian_neumann",
     "integrate",
@@ -316,15 +317,17 @@ def gradient_cc(f: ScalarField) -> VectorField:
     of the homogeneous Neumann condition.
     """
     g = f.grid
-    comps = []
-    for d in range(g.dim):
-        s = _axis_slices(d, g.dim)
-        out = np.zeros(g.face_shape(d))
-        inner = out[s.mid]
-        np.subtract(f.data[s.hi], f.data[s.lo], out=inner)
-        inner /= g.spacing[d]
-        comps.append(out)
-    return VectorField(g, comps)
+    return VectorField(g, [gradient_component(f.data, g, d) for d in range(g.dim)])
+
+
+def gradient_component(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """The ``axis`` face component of ``gradient_cc`` of the cell values ``data``."""
+    s = _axis_slices(axis, grid.dim)
+    out = np.zeros(grid.face_shape(axis))
+    inner = out[s.mid]
+    np.subtract(data[s.hi], data[s.lo], out=inner)
+    inner /= grid.spacing[axis]
+    return out
 
 
 def divergence_fc(F: VectorField) -> ScalarField:
@@ -419,10 +422,17 @@ def upwind_cells_to_faces(
     """
     s = _axis_slices(axis, grid.dim)
     out = np.empty(grid.face_shape(axis))
-    mid = out[s.mid]
-    np.copyto(mid, data[s.hi])
-    np.copyto(mid, data[s.lo], where=carrier[s.mid] > 0.0)
+    _upwind_select(out[s.mid], data, axis, carrier[s.mid] > 0.0)
     return _zero_walls(out, axis)
+
+
+def _upwind_select(out: np.ndarray, data: np.ndarray, axis: int, upwind: np.ndarray) -> None:
+    """Write the upwind cell values of ``data`` into ``out``, the interior
+    ``axis`` faces: the lower cell where ``upwind`` is set, the upper one
+    elsewhere."""
+    s = _axis_slices(axis, data.ndim)
+    np.copyto(out, data[s.hi])
+    np.copyto(out, data[s.lo], where=upwind)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ manufactured-solution studies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,13 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
+    _axis_slices,
+    _upwind_select,
     _zero_walls,
     cells_to_faces,
     face_component_at_faces,
     gradient_cc,
+    gradient_component,
     upwind_cells_to_faces,
 )
 
@@ -38,6 +42,7 @@ __all__ = [
     "f_eps",
     "cutoff_rho",
     "rho_on_faces",
+    "WallCutoff",
     "rotation_matrix",
     "eval_S_eps",
     "chemotactic_flux",
@@ -158,6 +163,55 @@ def rho_on_faces(grid: Grid, reg: RegularizationParams):
     return out
 
 
+class WallCutoff:
+    """The cutoff ``rho_eps`` at the face centers, held as 1-D profiles.
+
+    ``rho_eps`` is the smoothstep of the distance to the nearest wall, and
+    the smoothstep is monotone in that distance, so at a face it is the
+    minimum over the axes of the cutoff of the distance to that axis's two
+    walls.  Each axis keeps that cutoff at its face coordinates and at its
+    cell coordinates.  ``faces(d)`` broadcasts the minimum of the trailing
+    axes' profiles (a row in 2-D, a plane in 3-D) and lowers it by the
+    first axis's profile only in that profile's wall layers, where it lies
+    below 1: the same bits as ``rho_on_faces(grid, reg)[d]``, with no face
+    array held for the run.
+    """
+
+    def __init__(self, grid: Grid, reg: RegularizationParams):
+        self.grid = grid
+        profiles = {}
+        for e in range(grid.dim):
+            shape = [1] * grid.dim
+            shape[e] = -1
+            for at_faces, x in ((True, grid.face_coords(e)), (False, grid.cell_coords(e))):
+                dist = np.minimum(x, grid.extents[e] - x)
+                profiles[e, at_faces] = _rho_from_distance(dist, grid, reg).reshape(shape)
+        # per face orientation: the trailing axes' minimum, and the first
+        # axis's wall layers as (index, profile values there)
+        self._trailing, self._layers = [], []
+        for d in range(grid.dim):
+            first, *trailing = (profiles[e, e == d] for e in range(grid.dim))
+            self._trailing.append(functools.reduce(np.minimum, trailing))
+            self._layers.append([(index, first[index]) for index in _wall_layers(first)])
+
+    def faces(self, d: int) -> np.ndarray:
+        """``rho_eps`` at the ``d`` faces, as a new array."""
+        out = np.empty(self.grid.face_shape(d))
+        np.copyto(out, self._trailing[d])
+        for index, p in self._layers[d]:
+            layer = out[index]
+            np.minimum(layer, p, out=layer)
+        return out
+
+
+def _wall_layers(profile: np.ndarray) -> list:
+    """Slices of the runs along the first axis where ``profile`` lies below
+    1: its wall layers."""
+    below = np.flatnonzero(profile.ravel() < 1.0)
+    runs = np.split(below, np.flatnonzero(np.diff(below) > 1) + 1)
+    return [slice(int(run[0]), int(run[-1]) + 1) for run in runs if run.size]
+
+
 def rho_on_cells(grid: Grid, reg: RegularizationParams) -> np.ndarray:
     """Cutoff values at cell centers."""
     coords = grid.cell_center_mesh()
@@ -239,72 +293,99 @@ def _face_drift_components(
     c: ScalarField,
     spec: SensitivitySpec,
     reg: RegularizationParams,
-    rho_faces=None,
+    cutoff: WallCutoff = None,
     grad_c=None,
 ):
     """Per-face drift velocity ``f_eps(n~) S_eps grad(c)`` and upwind density.
 
     Returns ``(n_up, drift)`` lists indexed by face orientation.  The upwind
-    side is chosen from the sign of the drift direction; the density scalars
-    ``(1+n)**(-alpha)`` and ``f_eps`` are positive, so the direction can be
-    fixed before the upwind value is known.  ``grad_c`` may carry a
-    precomputed ``gradient_cc(c)``.
+    side is chosen from the sign of the drift direction ``rho (R grad c)_d``;
+    the density scalars ``(1+n)**(-alpha)`` and ``f_eps`` are positive, so the
+    direction can be fixed before the upwind value is known.  ``cutoff`` may
+    carry the run's ``WallCutoff`` and ``grad_c`` a precomputed
+    ``gradient_cc(c)``; without it the scalar kind computes, per axis, only
+    the component that axis reads.
     """
     g = n.grid
     if c.grid != g:
         raise ValueError("n and c live on different grids")
-    if np.any(n.data < 0):
+    if n.data.min() < 0:
         raise ValueError("chemotactic flux requires n >= 0")
-    if rho_faces is None:
-        rho_faces = rho_on_faces(g, reg)
-    if grad_c is None:
-        grad_c = gradient_cc(c)
-
+    if cutoff is None:
+        cutoff = WallCutoff(g, reg)
+    if grad_c is None and spec.kind != "scalar_saturating":
+        grad_c = gradient_cc(c)  # every axis reads every component
+    if spec.kind == "user_table":
+        return _table_drift_components(n, c, spec, reg, cutoff, grad_c)
     if spec.kind == "rotational":
         R = rotation_matrix(g.dim, spec.theta)
-    elif spec.kind == "scalar_saturating":
-        R = np.eye(g.dim)
-
+    if reg.eps != 0.0:
+        # f_eps at the cells, once: upwinding selects cell values, so
+        # selecting f_eps(n) gives the bits of f_eps(n~)
+        q = np.multiply(n.data, reg.eps)
+        q += 1.0
+        feps = np.multiply(q, q)
+        feps *= q
+        del q
+        np.divide(1.0, feps, out=feps)
     n_up_list, drift_list = [], []
     for d in range(g.dim):
-        if spec.kind == "user_table":
-            coords = g.face_center_mesh(d)
-            n_bar = cells_to_faces(n.data, g, d)
-            c_bar = cells_to_faces(c.data, g, d)
-            mats = _clamped_table_matrices(spec, coords, n_bar, c_bar)
-            sg = np.zeros(g.face_shape(d))
-            for e in range(g.dim):
-                ge = face_component_at_faces(grad_c.components[e], g, e, d)
-                sg += mats[..., d, e] * ge
-            direction = rho_faces[d] * sg
-            n_up = upwind_cells_to_faces(n.data, g, d, direction)
-            mats_up = _clamped_table_matrices(spec, coords, n_up, c_bar)
-            sg_up = np.zeros(g.face_shape(d))
-            for e in range(g.dim):
-                ge = face_component_at_faces(grad_c.components[e], g, e, d)
-                sg_up += mats_up[..., d, e] * ge
-            drift = rho_faces[d] * f_eps(n_up, reg.eps) * sg_up
-        else:
+        s = _axis_slices(d, g.dim)
+        if spec.kind == "rotational":
             sg = _rotated_gradient(grad_c, R, d)
-            work = np.multiply(rho_faces[d], sg)  # the drift direction
-            n_up = upwind_cells_to_faces(n.data, g, d, work)
-            # rho C_S (1 + n~)^(-alpha) f_eps(n~) (R grad c)_d, one pass per factor
-            drift = np.multiply(rho_faces[d], spec.C_S)
-            np.add(n_up, 1.0, out=work)
-            if spec.alpha == 1.0:  # the same bits as the power, at half its cost
-                np.divide(1.0, work, out=work)
-            else:
-                np.power(work, -spec.alpha, out=work)
+        elif grad_c is not None:
+            sg = grad_c.components[d]
+        else:  # only the component this axis reads, dropped with it
+            sg = gradient_component(c.data, g, d)
+        work = cutoff.faces(d)  # the one work array of this axis
+        # rho C_S (1 + n~)^(-alpha) f_eps(n~) (R grad c)_d, one pass per factor
+        drift = np.multiply(work, spec.C_S)
+        work *= sg  # the drift direction
+        upwind = work[s.mid] > 0.0
+        n_up = np.empty(g.face_shape(d))
+        _upwind_select(n_up[s.mid], n.data, d, upwind)
+        _zero_walls(n_up, d)
+        np.add(n_up, 1.0, out=work)
+        if spec.alpha == 1.0:  # the same bits as the power, at half its cost
+            np.divide(1.0, work, out=work)
+        else:
+            np.power(work, -spec.alpha, out=work)
+        drift *= work
+        if reg.eps != 0.0:  # f_eps = 1 exactly otherwise
+            _upwind_select(work[s.mid], feps, d, upwind)  # the walls keep (1 + 0)^(-alpha) = 1
             drift *= work
-            if reg.eps != 0.0:  # f_eps = 1 exactly otherwise
-                np.multiply(n_up, reg.eps, out=work)
-                work += 1.0
-                cube = np.multiply(work, work)
-                cube *= work
-                np.divide(1.0, cube, out=cube)
-                drift *= cube
-            drift *= sg
+        drift *= sg
+        del sg, work, upwind  # before the next axis allocates its own
         _zero_walls(drift, d)  # wall faces never carry chemotactic flux
+        n_up_list.append(n_up)
+        drift_list.append(drift)
+    return n_up_list, drift_list
+
+
+def _table_drift_components(n, c, spec, reg, cutoff, grad_c):
+    """``_face_drift_components`` for the ``user_table`` kind: the table is
+    evaluated at the face averages for the direction, then again at the
+    upwind density."""
+    g = n.grid
+    n_up_list, drift_list = [], []
+    for d in range(g.dim):
+        coords = g.face_center_mesh(d)
+        rho = cutoff.faces(d)
+        grads = [face_component_at_faces(grad_c.components[e], g, e, d) for e in range(g.dim)]
+        n_bar = cells_to_faces(n.data, g, d)
+        c_bar = cells_to_faces(c.data, g, d)
+        mats = _clamped_table_matrices(spec, coords, n_bar, c_bar)
+        sg = np.zeros(g.face_shape(d))
+        for e in range(g.dim):
+            sg += mats[..., d, e] * grads[e]
+        direction = rho * sg
+        n_up = upwind_cells_to_faces(n.data, g, d, direction)
+        mats_up = _clamped_table_matrices(spec, coords, n_up, c_bar)
+        sg_up = np.zeros(g.face_shape(d))
+        for e in range(g.dim):
+            sg_up += mats_up[..., d, e] * grads[e]
+        drift = rho * f_eps(n_up, reg.eps) * sg_up
+        _zero_walls(drift, d)
         n_up_list.append(n_up)
         drift_list.append(drift)
     return n_up_list, drift_list
@@ -315,9 +396,9 @@ def chemotactic_flux(
     c: ScalarField,
     spec: SensitivitySpec,
     reg: RegularizationParams,
-    rho_faces=None,
+    cutoff: WallCutoff = None,
 ) -> VectorField:
     """Face flux ``n~ f_eps(n~) S_eps grad(c)`` with upwinded face density."""
-    n_up, drift = _face_drift_components(n, c, spec, reg, rho_faces)
+    n_up, drift = _face_drift_components(n, c, spec, reg, cutoff)
     comps = [n_up[d] * drift[d] for d in range(n.grid.dim)]
     return VectorField(n.grid, comps)

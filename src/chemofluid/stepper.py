@@ -39,8 +39,8 @@ from .grid import (
 from .sensitivity import (
     RegularizationParams,
     SensitivitySpec,
+    WallCutoff,
     _face_drift_components,
-    rho_on_faces,
 )
 from .transport import (
     PositivityError,
@@ -90,6 +90,9 @@ class SimParams:
             raise ValueError("diagnostics_every must be >= 1")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
+        phi = self.fluid.phi
+        if phi is not None and phi.grid != self.grid:
+            raise ValueError(f"fluid.phi lives on {phi.grid}, but the run's grid is {self.grid}")
 
 
 @dataclass
@@ -148,7 +151,7 @@ def _accuracy_cap(params: SimParams) -> float:
     return params.cfl_sigma * (min(params.grid.spacing) ** 2 / 2.0)
 
 
-def _cfl_parts(state: State, params: SimParams, drift=None, rho_faces=None, grad_c=None):
+def _cfl_parts(state: State, params: SimParams, drift=None, cutoff=None, grad_c=None):
     """``[limit, bound, drift]``: sigma times the tightest of the advection,
     chemotactic-drift and reaction limits, its name in ``STEP_BOUNDS``, and
     the chemotactic face states it read."""
@@ -157,7 +160,7 @@ def _cfl_parts(state: State, params: SimParams, drift=None, rho_faces=None, grad
     adv = hmin / umax if umax > 0 else np.inf
     if drift is None:
         drift = _face_drift_components(
-            state.n, state.c, params.sensitivity, params.regularization, rho_faces, grad_c
+            state.n, state.c, params.sensitivity, params.regularization, cutoff, grad_c
         )
     vmax = max(_abs_max(v) for v in drift[1])
     chemo = hmin / vmax if vmax > 0 else np.inf
@@ -225,18 +228,19 @@ def advance(
     params: SimParams,
     dt: float,
     solver: PoissonSolver = None,
-    rho_faces=None,
+    cutoff: WallCutoff = None,
     drift=None,
 ) -> State:
     """One coupled step of size dt (caller guarantees dt <= cfl_dt).
 
-    ``drift`` may carry the state's chemotactic face states from the CFL
-    evaluation; it is dropped after its last use.
+    ``solver`` and ``cutoff`` may carry the run's spectral core and
+    ``WallCutoff``.  ``drift`` may carry the state's chemotactic face states
+    from the CFL evaluation; it is dropped after its last use.
     """
     if solver is None:
         solver = PoissonSolver(params.grid)
-    if rho_faces is None:
-        rho_faces = rho_on_faces(params.grid, params.regularization)
+    if cutoff is None:
+        cutoff = WallCutoff(params.grid, params.regularization)
     t = state.t
     n1 = step_n(
         state.n,
@@ -245,7 +249,7 @@ def advance(
         params.sensitivity,
         params.regularization,
         dt,
-        rho_faces=rho_faces,
+        cutoff=cutoff,
         drift=drift,
         forcing=params.forcing_n,
         t=t,
@@ -371,7 +375,7 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
     lyap_cfg = diagnostics.make_lyapunov_config(params.sensitivity.C_S, C_N)
     lyap_B = lyap_cfg.B if isinstance(lyap_cfg, diagnostics.LyapunovConfig) else 1.0
 
-    rho_faces = rho_on_faces(g, params.regularization)
+    cutoff = WallCutoff(g, params.regularization)
     builder = _SeriesBuilder()
     grad_c = builder.record(state, nbar0, params.sensitivity.alpha, lyap_B, 0.0, 0.0)
     snapshots = [(0, state)]
@@ -397,13 +401,13 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
     try:
         while state.t < params.T - 1e-14 and step < max_steps:
             # grad_c of the state comes from its recorded row, if it has one
-            cfl = _cfl_parts(state, params, rho_faces=rho_faces, grad_c=grad_c)
+            cfl = _cfl_parts(state, params, cutoff=cutoff, grad_c=grad_c)
             grad_c = None
             sized, bound = _bounded_step(proposal, cap, ceiling, cfl[0], cfl[1])
             dt = _step_size(sized, params.T - state.t)
             # popped into the call so that advance holds the only reference
             # and frees the drift after its last use
-            new = advance(state, params, dt, solver, rho_faces, drift=cfl.pop())
+            new = advance(state, params, dt, solver, cutoff, drift=cfl.pop())
             if controlled:
                 increments = [new.n.data - state.n.data, new.c.data - state.c.data]
             state = new  # the old state goes before the controller's Laplacians

@@ -69,7 +69,7 @@ def step_n(
     spec: SensitivitySpec,
     reg: RegularizationParams,
     dt: float,
-    rho_faces=None,
+    cutoff=None,
     drift=None,
     forcing=None,
     t: float = 0.0,
@@ -81,8 +81,9 @@ def step_n(
     ``drift`` may carry precomputed ``(n_up, drift)`` face states from the
     CFL evaluation to avoid recomputing the chemotactic velocity; the step
     consumes them: the drift arrays are overwritten with ``n_up * drift`` and
-    both lists are emptied before the divergence.  ``solver`` may carry the
-    run's spectral core for the diffusion resolvent.
+    both lists are emptied before the divergence.  ``cutoff`` may carry the
+    run's ``WallCutoff`` and ``solver`` its spectral core for the diffusion
+    resolvent.
     ``forcing`` (manufactured solutions) adds ``dt * f(coords, t)`` and
     intentionally breaks mass conservation.
     """
@@ -94,7 +95,7 @@ def step_n(
         solver = PoissonSolver(g)
 
     if drift is None:
-        drift = _face_drift_components(n, c, spec, reg, rho_faces)
+        drift = _face_drift_components(n, c, spec, reg, cutoff)
     n_up, vel = drift
 
     adv = advective_flux(n, u)

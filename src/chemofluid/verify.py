@@ -29,7 +29,7 @@ from .diagnostics import (
 from .fluid import FluidParams, PoissonSolver, energy_identity_residual, helmholtz_project
 from .grid import Grid, ScalarField, VectorField, make_grid
 from .manufactured import MmsCase, mms_cases, mms_error
-from .sensitivity import RegularizationParams, SensitivitySpec, rho_on_faces
+from .sensitivity import RegularizationParams, SensitivitySpec, WallCutoff
 from .stepper import SimParams, State, Trajectory, advance, cfl_dt, run
 
 __all__ = [
@@ -655,10 +655,10 @@ def energy_residual_probe(
         u=helmholtz_project(initial.u, solver),
         P=ScalarField.zeros(params.grid),
     )
-    rho_faces = rho_on_faces(params.grid, params.regularization)
+    cutoff = WallCutoff(params.grid, params.regularization)
     total = 0.0
     for _ in range(steps):
-        nxt = advance(state, params, dt, solver, rho_faces)
+        nxt = advance(state, params, dt, solver, cutoff)
         total += energy_identity_residual(state.u, nxt.u, nxt.n, params.fluid, dt)
         state = nxt
     return total / steps

@@ -116,12 +116,40 @@ class TestPoissonSolver:
         assert rel <= 1e-10
         assert divergence_max(u) <= 1e-8 * np.sqrt(vector_l2_sq(w))
 
+    @pytest.mark.parametrize(
+        "extents, cells",
+        [((1.0, 0.8), (64, 48)), ((1.0, 0.8), (128, 100)), ((1.0, 0.8, 0.6), (12, 10, 9))],
+        ids=["dense", "long", "3d"],
+    )
+    def test_solve_scales_by_inverse_separable_eigenvalues_bitwise(self, extents, cells):
+        """The solve forms ``1/lambda`` from the 1-D cosine tables in the
+        resolvents' shared buffer: the bits of ``1 / separable_eigenvalues``,
+        before and after that buffer held a resolvent's denominators, and a
+        resolvent after a solve has the bits of a fresh solver's."""
+        grid = make_grid(len(cells), extents, cells)
+        solver = PoissonSolver(grid)
+        b = random_smooth_field(grid, np.random.default_rng(5), 1.0).data
+        axes = zip(grid.cells, grid.spacing)
+        lam = separable_eigenvalues([stencil_eigenvalues(N, h, range(N)) for N, h in axes])
+        assert solver._roundoff == 8.0 * np.finfo(np.float64).eps * lam.max()
+        lam.flat[0] = np.inf
+        spec = solver.transform(b.mean() - b)
+        spec *= 1.0 / lam
+        ref = solver.transform(spec, inverse=True, overwrite=True)
+        ref -= ref.mean()
+        assert np.array_equal(solver.solve(b), ref)
+        fresh = PoissonSolver(grid).neumann_resolvent(b.copy(), 1e-3)
+        assert np.array_equal(solver.neumann_resolvent(b.copy(), 1e-3), fresh)
+        assert np.array_equal(solver.solve(b), ref)
+
     @pytest.mark.parametrize("n", [64, 1024])
     def test_wrong_eigenvalue_fails_certificate(self, n):
-        # the floor must stay far below the residual of a real solver defect
+        # the floor must stay far below the residual of a real solver defect:
+        # one entry of the cosine table the solve forms 1/lambda from is off
         grid = make_grid(2, (1.0, 1.0), (n, n))
         solver = PoissonSolver(grid)
-        solver._inv_eigs[1, 1] *= 1.01
+        cosine_tables, _ = solver._spectra[None]
+        cosine_tables[0][1] *= 1.01
         b = random_smooth_field(grid, np.random.default_rng(2), 1.0).data
         with pytest.raises(SolverFailure):
             solver.solve(b)
@@ -721,19 +749,20 @@ def _full_ns_substep(u, n, params, dt, solver):
     if params.kappa != 0.0:
         conv = convection_upwind(yosida_apply(u, params.eps, solver), u)
         comps = [-params.kappa * c for c in conv.components]
-    if params.grad_phi is not None:
+    if params.phi is not None:
         anchor = float(n.data.flat[0])
         nbar = anchor + float((n.data - anchor).mean())
+        grad_phi = gradient_cc(params.phi)
         for d in range(g.dim):
             buoy = cells_to_faces(n.data, g, d)
             buoy -= nbar
-            buoy *= params.grad_phi.components[d]
+            buoy *= grad_phi.components[d]
             comps[d] = comps[d] + buoy
     u_star = VectorField(g, [dt * c + uc for c, uc in zip(comps, u.components)])
     u_star = diffusion_resolvent(u_star, dt, solver)
     u_next, q, residual = project_with_potential(u_star, solver)
     P = q.data / dt
-    if params.grad_phi is not None:
+    if params.phi is not None:
         P = P + nbar * (params.phi.data - params.phi_mean)
     return u_next, ScalarField(g, P), residual
 

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from chemofluid.grid import ScalarField, _zero_walls, gradient_cc, make_grid
+from chemofluid.grid import (
+    ScalarField,
+    _zero_walls,
+    gradient_cc,
+    make_grid,
+    upwind_cells_to_faces,
+)
 from chemofluid.sensitivity import (
     RegularizationParams,
     SensitivitySpec,
+    WallCutoff,
     _face_drift_components,
     _rotated_gradient,
     chemotactic_flux,
@@ -305,6 +312,126 @@ class TestChemotacticFlux:
         spec = SensitivitySpec(kind="scalar_saturating", C_S=0.5)
         with pytest.raises(ValueError):
             chemotactic_flux(n, c, spec, RegularizationParams(eps=0.1))
+
+
+def per_face_drift(n, c, spec, reg, grad_c=None):
+    """The drift as one formula per face: the cutoff as full face arrays
+    (``rho_on_faces``), the upwind side from the sign of ``rho (R grad c)_d``
+    and every density factor formed at the faces from ``n~``, each operation
+    in the kernel's order."""
+    g = n.grid
+    rho_faces = rho_on_faces(g, reg)
+    if grad_c is None:
+        grad_c = gradient_cc(c)
+    R = rotation_matrix(g.dim, spec.theta) if spec.kind == "rotational" else np.eye(g.dim)
+    n_up_list, drift_list = [], []
+    for d in range(g.dim):
+        sg = _rotated_gradient(grad_c, R, d)
+        n_up = upwind_cells_to_faces(n.data, g, d, rho_faces[d] * sg)
+        drift = rho_faces[d] * spec.C_S
+        w = n_up + 1.0
+        drift *= np.divide(1.0, w) if spec.alpha == 1.0 else np.power(w, -spec.alpha)
+        if reg.eps != 0.0:
+            w = n_up * reg.eps
+            w += 1.0
+            cube = w * w
+            cube *= w
+            drift *= np.divide(1.0, cube)
+        drift *= sg
+        n_up_list.append(n_up)
+        drift_list.append(_zero_walls(drift, d))
+    return n_up_list, drift_list
+
+
+# the grids of the cutoff's and the drift's bit-equality tests: square and
+# uneven boxes, 2-D and 3-D, cell counts on either side of the layer width
+CUTOFF_GRIDS = [
+    ((1.0, 1.0), (16, 16)),
+    ((1.0, 0.8), (12, 10)),
+    ((2.0, 1.0), (33, 7)),
+    ((np.pi, 1.0 / 3.0), (50, 9)),
+    ((1.0, 1.0, 1.0), (8, 8, 8)),
+    ((1.0, 0.8, 0.6), (9, 6, 5)),
+    ((0.7, 1.3, 2.0), (7, 13, 11)),
+]
+
+
+class TestWallCutoff:
+    @pytest.mark.parametrize("extents, cells", CUTOFF_GRIDS)
+    def test_profile_minimum_equals_rho_on_faces_bitwise(self, extents, cells):
+        g = make_grid(len(cells), extents, cells)
+        lmin = min(extents)
+        regs = [RegularizationParams(eps=eps) for eps in (0.0, 0.05, 0.1, 0.37, 1.0)]
+        regs += [RegularizationParams(eps=0.2, delta=f * lmin) for f in (0.25, 1 / 7, 0.013)]
+        for reg in regs:
+            cutoff = WallCutoff(g, reg)
+            for d, rho in enumerate(rho_on_faces(g, reg)):
+                faces = cutoff.faces(d)
+                assert np.array_equal(faces, rho), (reg, d)
+                for C_S in (0.3, 1.7, np.sqrt(1.0 / (2.0 * np.pi**2))):
+                    assert np.array_equal(np.multiply(faces, C_S), rho * C_S), (reg, d, C_S)
+
+    @pytest.mark.parametrize("cells", [(64, 64), (16, 16, 16)])
+    def test_holds_no_face_array(self, cells):
+        # 1-D profiles in 2-D; in 3-D the trailing minimum is one plane
+        g = make_grid(len(cells), (1.0,) * len(cells), cells)
+        cutoff = WallCutoff(g, RegularizationParams(eps=0.1))
+        held = [cutoff._trailing] + [[p for _, p in layers] for layers in cutoff._layers]
+        nbytes = sum(a.nbytes for arrays in held for a in arrays)
+        assert nbytes < 8 * np.prod(g.face_shape(0)) / 4
+
+
+class TestDriftKernel:
+    @pytest.mark.parametrize("extents, cells", [CUTOFF_GRIDS[1], CUTOFF_GRIDS[5]], ids=["2d", "3d"])
+    @pytest.mark.parametrize("kind", ["scalar_saturating", "rotational"])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("handed", [True, False], ids=["grad_c", "no_grad_c"])
+    def test_equals_the_per_face_formula_bitwise(self, extents, cells, kind, alpha, eps, handed):
+        g = make_grid(len(cells), extents, cells)
+        rng = np.random.default_rng(sum(cells))
+        n = ScalarField(g, rng.uniform(0.0, 3.0, g.shape))
+        n.data[rng.uniform(size=g.shape) < 0.1] = 0.0
+        c = ScalarField(g, rng.uniform(0.0, 2.0, g.shape))
+        c.data[rng.uniform(size=g.shape) < 0.2] = 1.0  # flat patches: zero gradients
+        spec = SensitivitySpec(kind=kind, C_S=0.7, alpha=alpha, theta=np.pi / 2)
+        reg = RegularizationParams(eps=eps)
+        grad_c = gradient_cc(c) if handed else None
+        n_up, drift = _face_drift_components(n, c, spec, reg, WallCutoff(g, reg), grad_c)
+        ref_n_up, ref_drift = per_face_drift(n, c, spec, reg)
+        for d in range(g.dim):
+            assert np.array_equal(n_up[d], ref_n_up[d])
+            assert np.array_equal(drift[d], ref_drift[d])
+            assert not np.signbit(drift[d][_axis_walls(d, g.dim)]).any()
+        if handed:  # read, not written
+            for a, b in zip(grad_c.components, gradient_cc(c).components):
+                assert np.array_equal(a, b)
+
+    def test_upwinds_by_the_product_where_it_underflows(self):
+        # h = 4 and a subnormal step in c: at the face (1, 0), h/2 from a
+        # wall, the direction rho * (grad c)_0 rounds to 0 while (grad c)_0 > 0,
+        # so n~ is the upper cell's value there, as in the per-face formula
+        g = make_grid(2, (64.0, 64.0), (16, 16))
+        reg = RegularizationParams(eps=0.1)
+        spec = SensitivitySpec(kind="scalar_saturating", C_S=0.7)
+        c = ScalarField.zeros(g)
+        c.data[1, 0] = 3 * 5e-324
+        n = ScalarField(g, np.arange(256.0).reshape(16, 16))
+        grad = gradient_cc(c).components[0]
+        rho = rho_on_faces(g, reg)[0]
+        assert grad[1, 0] > 0.0 and rho[1, 0] * grad[1, 0] == 0.0
+        n_up, drift = _face_drift_components(n, c, spec, reg)
+        ref_n_up, ref_drift = per_face_drift(n, c, spec, reg)
+        assert n_up[0][1, 0] == n.data[1, 0]
+        for d in range(2):
+            assert np.array_equal(n_up[d], ref_n_up[d])
+            assert np.array_equal(drift[d], ref_drift[d])
+
+
+def _axis_walls(d, dim):
+    index = [slice(None)] * dim
+    index[d] = [0, -1]
+    return tuple(index)
 
 
 class TestRotationMatrix:

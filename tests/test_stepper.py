@@ -8,7 +8,7 @@ import pytest
 from chemofluid.diagnostics import CSV_COLUMNS, grad_c_norms
 from chemofluid.fluid import DENSE_MAX, FluidParams, PoissonSolver, SolverFailure, helmholtz_project
 from chemofluid.grid import ScalarField, VectorField, make_grid
-from chemofluid.sensitivity import RegularizationParams, SensitivitySpec, rho_on_faces
+from chemofluid.sensitivity import RegularizationParams, SensitivitySpec, WallCutoff
 from chemofluid.stepper import (
     CEILING_FACTOR,
     STEP_BOUNDS,
@@ -36,6 +36,22 @@ def make_params(grid, C_S=0.5, kappa=1.0, eps=0.1, T=0.01, **kw):
         T=T,
         **kw,
     )
+
+
+class TestSimParams:
+    @pytest.mark.parametrize(
+        "other",
+        [make_grid(2, (1.0, 1.0), (32, 32)), make_grid(2, (2.0, 1.0), (16, 16))],
+        ids=["finer", "other_box"],
+    )
+    def test_phi_on_another_grid_rejected(self, other):
+        # a finer phi used to fail at step 1 on a broadcast; one on another
+        # box of the same cells ran with the wrong grad(phi)
+        g = make_grid(2, (1.0, 1.0), (16, 16))
+        params = make_params(g)
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(params, fluid=FluidParams(kappa=1.0, phi=default_phi(other)))
+        assert repr(other) in str(exc.value) and repr(g) in str(exc.value)
 
 
 class TestCfl:
@@ -299,11 +315,12 @@ class TestOwnership:
 
     def test_run_holds_no_copies_and_no_dead_fields(self):
         """The traced peak of a short buoyant Stokes run after a warm-up: the
-        run takes the initial fields without copies, and the Poisson solve
-        drops the projection's divergence once it has its right-hand side.
-        The peak, reached in the projection's certificate, is 10.0 face
-        pairs; with three initial copies and the divergence alive it was
-        12.0."""
+        run takes the initial fields without copies, the Poisson solve drops
+        the projection's divergence once it has its right-hand side, and the
+        wall cutoff is held as 1-D profiles.  The peak, reached in the
+        projection's certificate, is 9.07 face pairs, bounded here with one
+        face of margin; with the cutoff as a face pair it was 10.0, and with
+        three initial copies and the divergence alive 12.0."""
         import tracemalloc
 
         params, initial = stokes_scenario((64, 64))
@@ -318,7 +335,7 @@ class TestOwnership:
         finally:
             tracemalloc.stop()
         assert traj.completed
-        assert peak <= 11 * (2 * 64 * 65 * 8)
+        assert peak <= 9.6 * (2 * 64 * 65 * 8)
 
 
 class TestSharedDerivatives:
@@ -333,12 +350,12 @@ class TestSharedDerivatives:
 
         g = params.grid
         solver = PoissonSolver(g)
-        rho_faces = rho_on_faces(g, params.regularization)
+        cutoff = WallCutoff(g, params.regularization)
         state = dataclasses.replace(initial, u=helmholtz_project(initial.u, solver))
         rows = []
         for k in range(21):
             if k:
-                state = advance(state, params, traj.series.dt[k], solver, rho_faces)
+                state = advance(state, params, traj.series.dt[k], solver, cutoff)
             norms = grad_c_norms(state.c)
             diss = dissipation_integrals(state.n, state.c, state.u, params.sensitivity.alpha)
             rows.append((state.t, norms.l2_sq, norms.l4_4, diss.D_n, diss.D_c, diss.D_u))
@@ -378,11 +395,11 @@ class TestStepController:
         ceiling = CEILING_FACTOR * params.cfl_sigma * (1.0 / 32) ** 2 / 2
         g = params.grid
         solver = PoissonSolver(g)
-        rho_faces = rho_on_faces(g, params.regularization)
+        cutoff = WallCutoff(g, params.regularization)
         state = dataclasses.replace(initial, u=helmholtz_project(initial.u, solver))
         for dt in dts[:-2]:
             assert cfl_dt(state, params) <= dt <= ceiling
-            state = advance(state, params, dt, solver, rho_faces)
+            state = advance(state, params, dt, solver, cutoff)
         bounds = traj.steps_by_bound
         assert list(bounds) == list(STEP_BOUNDS)
         assert sum(bounds.values()) == traj.steps == len(dts)
@@ -410,14 +427,14 @@ class TestStepController:
         assert traj.completed
         g = params.grid
         solver = PoissonSolver(g)
-        rho_faces = rho_on_faces(g, params.regularization)
+        cutoff = WallCutoff(g, params.regularization)
         state = dataclasses.replace(initial, u=helmholtz_project(initial.u, solver))
         dts = []
         while state.t < params.T - 1e-14:
             dt = cfl_dt(state, params)
             remaining = params.T - state.t
             dt = remaining if remaining <= dt else 0.5 * remaining if remaining < 2 * dt else dt
-            state = advance(state, params, dt, solver, rho_faces)
+            state = advance(state, params, dt, solver, cutoff)
             dts.append(dt)
         assert traj.series.dt[1:].tolist() == dts
         assert traj.steps_by_bound["controller"] == traj.steps_by_bound["ceiling"] == 0
