@@ -21,7 +21,7 @@ inequality being checked is the discrete one.  Its energy estimate needs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb
 
 import numpy as np
@@ -57,30 +57,10 @@ __all__ = [
 ]
 
 
-CSV_COLUMNS = (
-    "t",
-    "mass_n",
-    "mass_c",
-    "l2_n_dev",
-    "l2_c_dev",
-    "l2_u",
-    "grad_c_l2",
-    "grad_c_l4",
-    "lyapunov",
-    "D_n",
-    "D_c",
-    "D_u",
-    "n_inf_dev",
-    "c_inf_dev",
-    "u_inf",
-    "dt",
-    "proj_residual",
-)
-
-
 @dataclass
 class DiagnosticsSeries:
-    """Column-per-functional time series recorded along a trajectory."""
+    """Column-per-functional time series recorded along a trajectory: each
+    field is one column of ``series.csv`` (``CSV_COLUMNS``), in this order."""
 
     t: np.ndarray
     mass_n: np.ndarray
@@ -113,6 +93,9 @@ class DiagnosticsSeries:
 
     def __len__(self):
         return self.t.size
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsSeries))
 
 
 # ---------------------------------------------------------------------------

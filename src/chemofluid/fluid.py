@@ -60,6 +60,7 @@ __all__ = [
     "separable_eigenvalues",
     "DENSE_MAX",
     "dense_basis",
+    "SOLVE_TOL",
     "PoissonSolver",
     "FluidParams",
     "helmholtz_project",
@@ -216,6 +217,10 @@ def _along_axis(M: np.ndarray, MT: np.ndarray, x: np.ndarray, axis: int) -> np.n
     return (M @ x.reshape(x.shape[0], -1)).reshape(x.shape)
 
 
+# relative residual below which a Poisson solve is certified
+SOLVE_TOL = 1e-10
+
+
 class PoissonSolver:
     """Direct cosine-transform solve of the cell-centered zero-flux Laplacian.
 
@@ -223,32 +228,32 @@ class PoissonSolver:
     diagonalizes the stencil exactly, so a solve is one forward transform, a
     scaling by the inverse eigenvalues (zero at the k = 0 nullspace entry,
     which also drops the mean of ``b``: the compatibility condition), one
-    inverse transform and a mean subtraction.  A solve forms the inverse
-    eigenvalues from the 1-D cosine tables into the resolvents' shared
-    buffer unless it holds them already, so the solver holds no field
-    besides that buffer.  One
-    application of ``laplacian_neumann`` then certifies the result: its
-    residual must lie below ``tol * ||b - mean(b)||`` or the solve raises, a
-    NaN residual included.  That threshold is floored at the residual's
-    roundoff level ``8 eps lambda_max ||q||`` (``lambda_max`` the largest
-    eigenvalue), which otherwise outgrows a fixed ``tol`` like ``N^2``.  A
-    direct solve makes no iterations: ``last_iterations`` is 0.
+    inverse transform and a mean subtraction.  One application of
+    ``laplacian_neumann`` then certifies the result: its residual must lie
+    below ``SOLVE_TOL * ||b - mean(b)||`` or the solve raises, a NaN residual
+    included.  That threshold is floored at the residual's roundoff level
+    ``8 eps lambda_max ||q||`` (``lambda_max`` the largest eigenvalue), which
+    otherwise outgrows a fixed tolerance like ``N^2``.  A direct solve makes
+    no iterations: ``last_iterations`` is 0.
 
     The solver is also the run's spectral core for the resolvents
     ``(I - coef*Lap)^{-1}``: it holds the 1-D eigenvalue tables, one
-    field-sized buffer for their denominators (``resolvent_denominators``)
-    and one basis per axis and operator, and applies the zero-flux resolvent
-    itself (``neumann_resolvent``).  Every transform goes through
-    ``transform``: an axis of at most ``DENSE_MAX`` cells is a product with
-    the basis's orthonormal matrix (``dense_basis``), a longer one a call of
-    pocketfft's kernel (one ``dct`` over the long axes for cells, one ``dst``
-    per long axis for faces) with ``workers`` threads.  The thread count
-    never changes a result.
+    field-sized scratch buffer and one basis per axis and operator, and
+    applies the zero-flux resolvent itself (``neumann_resolvent``).  Every
+    call forms its spectral table (``1/lambda`` for a solve, ``1 + coef *
+    lambda`` for a resolvent) from the 1-D tables into that buffer, and every
+    per-call result is a return value: after ``__init__`` no attribute is
+    written.  Every transform goes through ``transform``: an axis of at most
+    ``DENSE_MAX`` cells is a product with the basis's orthonormal matrix
+    (``dense_basis``), a longer one a call of pocketfft's kernel (one ``dct``
+    over the long axes for cells, one ``dst`` per long axis for faces) with
+    ``workers`` threads.  The thread count never changes a result.
     """
 
-    def __init__(self, grid: Grid, tol: float = 1e-10, workers: int = 1):
+    last_iterations = 0
+
+    def __init__(self, grid: Grid, workers: int = 1):
         self.grid = grid
-        self.tol = tol
         self.workers = workers
         axes = list(zip(grid.cells, grid.spacing))
         # the 1-D tables of the spectral core: cosine modes 0..N-1, and sine
@@ -259,9 +264,7 @@ class PoissonSolver:
         # tables' largest entries, added in separable_eigenvalues' order
         lam_max = functools.reduce(operator.add, (float(t.max()) for t in cosine))
         self._roundoff = 8.0 * np.finfo(np.float64).eps * lam_max
-        self.last_iterations = 0
-        self.last_residual = 0.0
-        # one buffer for every resolvent's denominators (no spectrum holds
+        # one scratch buffer for every spectral table (no spectrum holds
         # more entries than there are cells), and per operator its tables,
         # shaped to broadcast, its view of that buffer and its transform
         # plan: the cell Laplacian (None) and the no-slip Laplacian of each
@@ -299,8 +302,6 @@ class PoissonSolver:
                 kname, forward, inverse, _ = _BASES["cosine"]
                 fft.append((_KERNELS[kname], forward, inverse, long_axes))
             self._plans[component] = (dense, fft)
-        self._denominators_of = None  # (coef, component) the buffer holds, or "poisson"
-        self._handoff = None  # (q, gradient_cc(q)) of the last solve, until taken
 
     def transform(
         self, x: np.ndarray, component: int = None, inverse: bool = False, overwrite: bool = False
@@ -325,28 +326,29 @@ class PoissonSolver:
             overwrite = True
         return x
 
-    def solve(self, b: np.ndarray, abs_target: float = None) -> np.ndarray:
-        """Return ``q`` with ``Lap q = b`` (mean-zero), raising if uncertified.
+    def solve(self, b: np.ndarray, abs_target: float = None):
+        """``(q, gradient_cc(q), residual)`` with ``Lap q = b`` (mean-zero),
+        raising if uncertified.
 
-        The residual must lie below ``tol * ||b - mean(b)||`` and, when
+        The residual must lie below ``SOLVE_TOL * ||b - mean(b)||`` and, when
         ``abs_target`` is given, below that absolute level as well (the
         projection uses it to pin the post-projection divergence); neither
         threshold goes below the roundoff floor ``8 eps lambda_max ||q||``.
         The residual applies ``laplacian_neumann`` as its two halves,
-        ``divergence_fc(gradient_cc(q))``; ``take_gradient`` hands that
-        gradient over to a projection.  ``b`` is only read; the solve drops
-        its reference once ``mean(b) - b`` is formed, so a ``b`` the caller
-        holds no reference to is freed there.
+        ``divergence_fc(gradient_cc(q))``, and that gradient is returned for a
+        projection to subtract; ``residual`` is relative to
+        ``||b - mean(b)||`` (0 for a constant ``b``).  ``b`` is only read; the
+        solve drops its reference once ``mean(b) - b`` is formed, so a ``b``
+        the caller holds no reference to is freed there.
         """
-        self._handoff = None
         b = np.asarray(b, dtype=np.float64)
         rhs = b.mean() - b  # -Lap q = rhs
         del b
         rhs_norm = float(np.sqrt((rhs * rhs).sum()))
         if rhs_norm == 0.0:
-            self.last_residual = 0.0
-            return np.zeros_like(rhs)
-        target = self.tol * rhs_norm
+            q = np.zeros_like(rhs)
+            return q, gradient_cc(ScalarField(self.grid, q)), 0.0
+        target = SOLVE_TOL * rhs_norm
         if abs_target is not None:
             target = min(target, abs_target)
         spec = self.transform(rhs)
@@ -357,35 +359,21 @@ class PoissonSolver:
         r = divergence_fc(grad_q).data
         r += rhs
         res = float(np.sqrt((r * r).sum()))
-        self.last_residual = res / rhs_norm
         # written so that a NaN residual fails too; the floor is only
         # evaluated when the target alone fails
         if not (res <= target or res <= self._roundoff * float(np.sqrt((q * q).sum()))):
             raise SolverFailure("pressure Poisson solve failed its residual check", res / rhs_norm)
-        self._handoff = (q, grad_q)
-        return q
-
-    def take_gradient(self, q: np.ndarray) -> VectorField:
-        """``gradient_cc(q)`` for a potential ``q``: the residual check's own
-        gradient when ``q`` is what the last solve returned.  The solver
-        keeps no reference to it afterwards."""
-        handoff, self._handoff = self._handoff, None
-        if handoff is not None and handoff[0] is q:
-            return handoff[1]
-        return gradient_cc(ScalarField(self.grid, q))
+        return q, grad_q, res / rhs_norm
 
     def _inverse_eigenvalues(self) -> np.ndarray:
         """``1 / lambda`` of the zero-flux cell Laplacian's cosine modes, 0 at
-        the constant mode: the bits of ``1 / separable_eigenvalues(cosine)``.
-        Formed into the solver's one reusable buffer, it stays valid until a
-        ``resolvent_denominators`` call."""
+        the constant mode: the bits of ``1 / separable_eigenvalues(cosine)``,
+        formed into the solver's scratch buffer and valid until its next
+        call."""
         tables, out = self._spectra[None]
-        if self._denominators_of != "poisson":
-            _outer_sum(tables, out)
-            out.flat[0] = np.inf  # constant nullspace: its coefficient maps to zero
-            np.divide(1.0, out, out=out)
-            self._denominators_of = "poisson"
-        return out
+        _outer_sum(tables, out)
+        out.flat[0] = np.inf  # constant nullspace: its coefficient maps to zero
+        return np.divide(1.0, out, out=out)
 
     def resolvent_denominators(self, coef: float, component: int = None) -> np.ndarray:
         """``1 + coef * lambda``: the transform-space denominators of the
@@ -394,16 +382,13 @@ class PoissonSolver:
         ``component=None`` takes the zero-flux cell Laplacian (cosine modes),
         an axis ``d`` the no-slip Laplacian of velocity component ``d`` (sine
         modes 1..N-1 along ``d``, 1..N tangentially).  The result is formed
-        from the 1-D tables into the solver's one reusable buffer and stays
-        valid until a call with another ``(coef, component)`` or a solve.
+        from the 1-D tables into the solver's scratch buffer and is valid
+        until its next call.
         """
         tables, out = self._spectra[component]
-        if self._denominators_of != (coef, component):
-            first = coef * tables[0]
-            first += 1.0
-            _outer_sum([first] + [coef * t for t in tables[1:]], out)
-            self._denominators_of = (coef, component)
-        return out
+        first = coef * tables[0]
+        first += 1.0
+        return _outer_sum([first] + [coef * t for t in tables[1:]], out)
 
     def neumann_resolvent(self, data: np.ndarray, coef: float) -> np.ndarray:
         """``(I - coef*Lap)^{-1} data`` with zero-flux walls, overwriting ``data``.
@@ -465,10 +450,9 @@ def project_with_potential(w: VectorField, solver: PoissonSolver):
     w.check_finite("projection input")
     w_norm = np.sqrt(vector_l2_sq(w))
     abs_target = 1e-10 * w_norm / np.sqrt(w.grid.volume_element)
-    q = solver.solve(divergence_fc(w).data, abs_target=abs_target)
-    grad_q = solver.take_gradient(q)
+    q, grad_q, residual = solver.solve(divergence_fc(w).data, abs_target=abs_target)
     comps = [np.subtract(wc, gc, out=gc) for wc, gc in zip(w.components, grad_q.components)]
-    return VectorField(w.grid, comps), ScalarField(w.grid, q), solver.last_residual
+    return VectorField(w.grid, comps), ScalarField(w.grid, q), residual
 
 
 def helmholtz_project(w: VectorField, solver: PoissonSolver) -> VectorField:
@@ -670,15 +654,13 @@ def ns_substep(
     A fluid at rest (``max |u| = 0``) has no convective term, so the Yosida
     smoothing and the upwind convection are skipped.  If no buoyancy or
     forcing term is active either, ``u* = 0``: the resolvent and the
-    projection could only return zeros, so the step returns ``u = 0`` and
-    ``P = 0`` directly and records ``solver.last_residual = 0.0``, as
-    projecting a zero field does.
+    projection could only return zeros, so the step returns ``u = 0``,
+    ``P = 0`` and the residual 0, as projecting a zero field does.
     """
     g = u.grid
     umax = u.max_abs()
     if umax == 0.0:
         if params.phi is None and forcing is None:
-            solver.last_residual = 0.0
             return VectorField.zeros(g), ScalarField.zeros(g), 0.0
     elif divergence_max(u) > _incompressibility_tolerance(g, umax):
         raise ValueError(

@@ -151,21 +151,20 @@ def _accuracy_cap(params: SimParams) -> float:
     return params.cfl_sigma * (min(params.grid.spacing) ** 2 / 2.0)
 
 
-def _cfl_parts(state: State, params: SimParams, drift=None, cutoff=None, grad_c=None):
-    """``[limit, bound, drift]``: sigma times the tightest of the advection,
+def _cfl_parts(state: State, params: SimParams, cutoff=None, grad_c=None):
+    """``(limit, bound, drift)``: sigma times the tightest of the advection,
     chemotactic-drift and reaction limits, its name in ``STEP_BOUNDS``, and
     the chemotactic face states it read."""
     hmin = min(params.grid.spacing)
     umax = state.u.max_abs()
     adv = hmin / umax if umax > 0 else np.inf
-    if drift is None:
-        drift = _face_drift_components(
-            state.n, state.c, params.sensitivity, params.regularization, cutoff, grad_c
-        )
+    drift = _face_drift_components(
+        state.n, state.c, params.sensitivity, params.regularization, cutoff, grad_c
+    )
     vmax = max(_abs_max(v) for v in drift[1])
     chemo = hmin / vmax if vmax > 0 else np.inf
     limit, bound = min((adv, "advection"), (chemo, "drift"), (0.5, "reaction"))
-    return [params.cfl_sigma * limit, bound, drift]
+    return params.cfl_sigma * limit, bound, drift
 
 
 def cfl_dt(state: State, params: SimParams) -> float:
@@ -230,12 +229,14 @@ def advance(
     solver: PoissonSolver = None,
     cutoff: WallCutoff = None,
     drift=None,
-) -> State:
+):
     """One coupled step of size dt (caller guarantees dt <= cfl_dt).
 
+    Returns ``(state, proj_residual)``: the new state and the relative
+    residual of its velocity projection, the certificate of ``div u``.
     ``solver`` and ``cutoff`` may carry the run's spectral core and
     ``WallCutoff``.  ``drift`` may carry the state's chemotactic face states
-    from the CFL evaluation; it is dropped after its last use.
+    from the CFL evaluation; ``step_n`` consumes them.
     """
     if solver is None:
         solver = PoissonSolver(params.grid)
@@ -255,12 +256,13 @@ def advance(
         t=t,
         solver=solver,
     )
-    drift = None
     c1 = step_c(state.c, state.n, state.u, dt, forcing=params.forcing_c, t=t, solver=solver)
-    u1, P1, _ = ns_substep(state.u, n1, params.fluid, dt, solver, forcing=params.forcing_u, t=t)
+    u1, P1, proj_residual = ns_substep(
+        state.u, n1, params.fluid, dt, solver, forcing=params.forcing_u, t=t
+    )
     out = State(t=t + dt, n=n1, c=c1, u=u1, P=P1)
     out.validate()
-    return out
+    return out, proj_residual
 
 
 def _step_size(dt: float, remaining: float) -> float:
@@ -401,13 +403,11 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
     try:
         while state.t < params.T - 1e-14 and step < max_steps:
             # grad_c of the state comes from its recorded row, if it has one
-            cfl = _cfl_parts(state, params, cutoff=cutoff, grad_c=grad_c)
+            limit, bound, drift = _cfl_parts(state, params, cutoff=cutoff, grad_c=grad_c)
             grad_c = None
-            sized, bound = _bounded_step(proposal, cap, ceiling, cfl[0], cfl[1])
+            sized, bound = _bounded_step(proposal, cap, ceiling, limit, bound)
             dt = _step_size(sized, params.T - state.t)
-            # popped into the call so that advance holds the only reference
-            # and frees the drift after its last use
-            new = advance(state, params, dt, solver, cutoff, drift=cfl.pop())
+            new, proj_residual = advance(state, params, dt, solver, cutoff, drift=drift)
             if controlled:
                 increments = [new.n.data - state.n.data, new.c.data - state.c.data]
             state = new  # the old state goes before the controller's Laplacians
@@ -427,7 +427,7 @@ def run(params: SimParams, initial: State, solver: PoissonSolver = None) -> Traj
                     )
             if step % params.diagnostics_every == 0 or state.t >= params.T - 1e-14:
                 grad_c = builder.record(
-                    state, nbar0, params.sensitivity.alpha, lyap_B, dt, solver.last_residual
+                    state, nbar0, params.sensitivity.alpha, lyap_B, dt, proj_residual
                 )
             if params.snapshot_every and (
                 step % params.snapshot_every == 0 or state.t >= params.T - 1e-14

@@ -658,7 +658,7 @@ def energy_residual_probe(
     cutoff = WallCutoff(params.grid, params.regularization)
     total = 0.0
     for _ in range(steps):
-        nxt = advance(state, params, dt, solver, cutoff)
+        nxt, _ = advance(state, params, dt, solver, cutoff)
         total += energy_identity_residual(state.u, nxt.u, nxt.n, params.fluid, dt)
         state = nxt
     return total / steps

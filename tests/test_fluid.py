@@ -65,14 +65,20 @@ def dirichlet_mode(grid, kx, my, component=0):
     return VectorField(grid, [v, np.zeros(grid.face_shape(1))]), lam
 
 
+def _same_attributes(solver, before):
+    """Whether ``solver`` holds exactly the attribute objects of ``before``,
+    a copy of its ``vars`` taken earlier."""
+    return {k: id(v) for k, v in vars(solver).items()} == {k: id(v) for k, v in before.items()}
+
+
 class TestPoissonSolver:
     def test_residual_contract_and_gauge(self, grid2d, rng):
         solver = PoissonSolver(grid2d)
         b = rng.standard_normal(grid2d.shape)
-        q = solver.solve(b)
+        q, _, _ = solver.solve(b)
         lap_q = laplacian_neumann(ScalarField(grid2d, q)).data
         resid = np.sqrt((((lap_q - (b - b.mean()))) ** 2).sum())
-        assert resid <= solver.tol * np.sqrt(((b - b.mean()) ** 2).sum())
+        assert resid <= fluid.SOLVE_TOL * np.sqrt(((b - b.mean()) ** 2).sum())
         assert abs(q.mean()) <= 1e-13 * np.abs(q).max()
 
     @pytest.mark.parametrize(
@@ -84,13 +90,16 @@ class TestPoissonSolver:
         grid = make_grid(dim, (1.0,) * dim, cells)
         solver = PoissonSolver(grid)
         b = rng.standard_normal(grid.shape)
-        q = solver.solve(b)
+        q, grad_q, residual = solver.solve(b)
         rhs = b - b.mean()
         resid = np.sqrt(((laplacian_neumann(ScalarField(grid, q)).data - rhs) ** 2).sum())
         rel = resid / np.sqrt((rhs**2).sum())
         assert rel <= 1e-13
-        assert solver.last_residual == pytest.approx(rel, rel=1e-6, abs=1e-16)
+        assert residual == pytest.approx(rel, rel=1e-6, abs=1e-16)
         assert solver.last_iterations == 0
+        # the certificate's own gradient, returned for the projection
+        for got, want in zip(grad_q.components, gradient_cc(ScalarField(grid, q)).components):
+            assert got.tobytes() == want.tobytes()
         assert abs(q.mean()) <= 1e-13 * np.abs(q).max()
 
     def test_nonfinite_rhs_raises(self, grid2d_small, rng):
@@ -101,7 +110,11 @@ class TestPoissonSolver:
         with pytest.raises(SolverFailure) as exc:
             solver.solve(b)
         assert np.isnan(exc.value.residual)
-        assert np.isnan(solver.last_residual)
+
+    def test_constant_rhs_returns_zeros_and_zero_residual(self, grid2d_small):
+        q, grad_q, residual = PoissonSolver(grid2d_small).solve(np.full(grid2d_small.shape, 2.5))
+        assert residual == 0.0 and not q.any()
+        assert not any(c.any() for c in grad_q.components)
 
     def test_roundoff_floor_admits_smooth_projection_at_1024(self):
         # the residual of a smooth right-hand side sits just under half of
@@ -123,7 +136,7 @@ class TestPoissonSolver:
     )
     def test_solve_scales_by_inverse_separable_eigenvalues_bitwise(self, extents, cells):
         """The solve forms ``1/lambda`` from the 1-D cosine tables in the
-        resolvents' shared buffer: the bits of ``1 / separable_eigenvalues``,
+        solver's scratch buffer: the bits of ``1 / separable_eigenvalues``,
         before and after that buffer held a resolvent's denominators, and a
         resolvent after a solve has the bits of a fresh solver's."""
         grid = make_grid(len(cells), extents, cells)
@@ -137,10 +150,37 @@ class TestPoissonSolver:
         spec *= 1.0 / lam
         ref = solver.transform(spec, inverse=True, overwrite=True)
         ref -= ref.mean()
-        assert np.array_equal(solver.solve(b), ref)
+        assert np.array_equal(solver.solve(b)[0], ref)
         fresh = PoissonSolver(grid).neumann_resolvent(b.copy(), 1e-3)
         assert np.array_equal(solver.neumann_resolvent(b.copy(), 1e-3), fresh)
-        assert np.array_equal(solver.solve(b), ref)
+        assert np.array_equal(solver.solve(b)[0], ref)
+
+    @pytest.mark.parametrize("cells", [(24, 20), (DENSE_MAX + 4, 12), (8, 10, 6)])
+    def test_holds_no_per_call_state(self, cells, rng):
+        """Resolvents at two coefficients, on cells and on each face
+        component, interleaved with solves on one solver: every result has
+        the bits of a fresh solver's, and no attribute is written after
+        ``__init__``."""
+        grid = make_grid(len(cells), (1.0,) * len(cells), cells)
+        solver = PoissonSolver(grid)
+        before = dict(vars(solver))
+        b = rng.standard_normal(grid.shape)
+        U = random_vector(grid, rng)
+        dt, eps = 1e-3, 0.05
+
+        def calls(s):
+            yield s.neumann_resolvent(b.copy(), dt)
+            for coef in (eps, dt):
+                yield from diffusion_resolvent(U, coef, s).components
+            q, grad_q, residual = s.solve(b)
+            yield q
+            yield from grad_q.components
+            yield np.float64(residual)
+
+        for _ in range(2):
+            for got, want in zip(calls(solver), calls(PoissonSolver(grid)), strict=True):
+                assert got.tobytes() == want.tobytes()
+        assert _same_attributes(solver, before)
 
     @pytest.mark.parametrize("n", [64, 1024])
     def test_wrong_eigenvalue_fails_certificate(self, n):
@@ -224,7 +264,7 @@ class TestSpectralCore:
         inv = 1.0 / np.where(lam == 0.0, np.inf, lam)
         ref = _scipy_chain(_scipy_chain(b.mean() - b, cosine) * inv, cosine_inv)
         ref -= ref.mean()
-        assert np.abs(solver.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(solver.solve(b)[0] - ref).max() <= 1e-12 * np.abs(ref).max()
 
         data = 1.0 + rng.standard_normal(grid.shape)
         ref = _scipy_chain(_scipy_chain(data, cosine) / (1.0 + coef * lam), cosine_inv)
@@ -391,7 +431,6 @@ class TestProjection:
         out, q, _ = project_with_potential(w, solver)
         for wc, gc, oc in zip(w.components, gradient_cc(q).components, out.components):
             assert (wc - gc).tobytes() == oc.tobytes()
-        assert solver._handoff is None  # nothing of the solve stays on the solver
 
     def test_divergence_free_fixed(self, grid2d, rng):
         solver = PoissonSolver(grid2d)
@@ -661,12 +700,12 @@ class TestNsSubstep:
             monkeypatch.setattr(fluid_mod, name, counted)
         for kappa in (0.0, 1.0):
             solver, params = self._solver_params(grid2d, kappa=kappa)
-            solver.last_residual = 1.0
+            before = dict(vars(solver))
             n = ScalarField(grid2d, 1.0 + random_smooth_field(grid2d, np.random.default_rng(1), 0.3).data)
             u1, P, res = ns_substep(VectorField.zeros(grid2d), n, params, 1e-3, solver)
             assert all(np.array_equal(c, np.zeros_like(c)) for c in u1.components)
             assert np.array_equal(P.data, np.zeros(grid2d.shape))
-            assert res == 0.0 and solver.last_residual == 0.0
+            assert res == 0.0 and _same_attributes(solver, before)
         assert calls == []
 
     def test_nan_in_a_later_component_is_not_at_rest(self, grid2d):

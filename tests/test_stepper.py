@@ -92,18 +92,20 @@ class TestAdvance:
         params = make_params(grid2d)
         state = State.homogeneous(grid2d, 1.3)
         solver = PoissonSolver(grid2d)
-        out = advance(state, params, cfl_dt(state, params), solver)
+        out, proj_residual = advance(state, params, cfl_dt(state, params), solver)
         # exact, although the cell mean of 1.3 rounds: the resolvent and the
         # buoyancy both anchor the mean at a cell value
         assert np.array_equal(out.n.data, state.n.data)
         assert np.array_equal(out.c.data, state.c.data)
         assert out.u.max_abs() == 0.0
+        assert proj_residual == 0.0  # nothing to project: a zero right-hand side
 
     def test_zero_data_stays_zero(self, grid2d):
         params = make_params(grid2d)
         state = State.homogeneous(grid2d, 0.0)
-        out = advance(state, params, 1e-5, PoissonSolver(grid2d))
+        out, proj_residual = advance(state, params, 1e-5, PoissonSolver(grid2d))
         assert out.n.data.max() == 0.0 and out.u.max_abs() == 0.0
+        assert proj_residual == 0.0
 
 
 class TestRun:
@@ -353,14 +355,18 @@ class TestSharedDerivatives:
         cutoff = WallCutoff(g, params.regularization)
         state = dataclasses.replace(initial, u=helmholtz_project(initial.u, solver))
         rows = []
+        proj_residual = 0.0  # row 0 records none
         for k in range(21):
             if k:
-                state = advance(state, params, traj.series.dt[k], solver, cutoff)
+                state, proj_residual = advance(state, params, traj.series.dt[k], solver, cutoff)
             norms = grad_c_norms(state.c)
             diss = dissipation_integrals(state.n, state.c, state.u, params.sensitivity.alpha)
-            rows.append((state.t, norms.l2_sq, norms.l4_4, diss.D_n, diss.D_c, diss.D_u))
+            rows.append(
+                (state.t, norms.l2_sq, norms.l4_4, diss.D_n, diss.D_c, diss.D_u, proj_residual)
+            )
         s = traj.series
-        for j, col in enumerate(("t", "grad_c_l2", "grad_c_l4", "D_n", "D_c", "D_u")):
+        columns = ("t", "grad_c_l2", "grad_c_l4", "D_n", "D_c", "D_u", "proj_residual")
+        for j, col in enumerate(columns):
             assert np.array_equal(s.column(col), [r[j] for r in rows]), col
         final = traj.final_state()
         assert np.array_equal(final.n.data, state.n.data)
@@ -399,7 +405,7 @@ class TestStepController:
         state = dataclasses.replace(initial, u=helmholtz_project(initial.u, solver))
         for dt in dts[:-2]:
             assert cfl_dt(state, params) <= dt <= ceiling
-            state = advance(state, params, dt, solver, cutoff)
+            state, _ = advance(state, params, dt, solver, cutoff)
         bounds = traj.steps_by_bound
         assert list(bounds) == list(STEP_BOUNDS)
         assert sum(bounds.values()) == traj.steps == len(dts)
@@ -434,7 +440,7 @@ class TestStepController:
             dt = cfl_dt(state, params)
             remaining = params.T - state.t
             dt = remaining if remaining <= dt else 0.5 * remaining if remaining < 2 * dt else dt
-            state = advance(state, params, dt, solver, cutoff)
+            state, _ = advance(state, params, dt, solver, cutoff)
             dts.append(dt)
         assert traj.series.dt[1:].tolist() == dts
         assert traj.steps_by_bound["controller"] == traj.steps_by_bound["ceiling"] == 0
