@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
@@ -281,11 +280,6 @@ def write_csv(path: str, traj: Trajectory) -> None:
             fh.write(",".join(_fmt(col[i]) for col in cols) + "\n")
 
 
-def read_csv(path: str):
-    with open(path) as fh:
-        return _parse_csv(fh.read())
-
-
 def _parse_csv(text: str) -> dict:
     """Columns of a numeric CSV by header name; ``ValueError`` names the
     first line that is not one float per header field."""
@@ -401,18 +395,9 @@ def _report_lines(reports) -> tuple:
 
 
 def _cmd_verify(args) -> int:
-    suites = [args.suite] if args.suite != "all" else list(verify.SUITES)
     cells = tuple(args.cells)
     _usable_grid(len(cells), (1.0,) * len(cells), cells)  # the suites' unit box
-    reports = []
-    if args.threads > 1 and len(suites) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            futures = [ex.submit(verify.run_suite, s, cells, args.seed) for s in suites]
-            for fut in futures:
-                reports.extend(fut.result())
-    else:
-        for s in suites:
-            reports.extend(verify.run_suite(s, cells=cells, seed=args.seed))
+    reports = verify.run_suite(args.suite, cells=cells, seed=args.seed)
     lines, kv, any_fail = _report_lines(reports)
     print("\n".join(lines))
     print("\n# machine-readable")
@@ -527,13 +512,6 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", default="all", choices=sorted(verify.SUITES) + ["all"])
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="with --suite all, run up to that many suites concurrently; it does nothing "
-        "for a single suite",
-    )
     p_ver.add_argument(
         "--cells",
         type=lambda s: [int(v) for v in s.split(",")],

@@ -41,7 +41,6 @@ __all__ = [
     "RegularizationParams",
     "f_eps",
     "cutoff_rho",
-    "rho_on_faces",
     "WallCutoff",
     "rotation_matrix",
     "eval_S_eps",
@@ -152,17 +151,6 @@ def cutoff_rho(x, grid: Grid, reg: RegularizationParams) -> float:
     return float(_rho_from_distance(max(dist, 0.0), grid, reg))
 
 
-def rho_on_faces(grid: Grid, reg: RegularizationParams):
-    """Cutoff values at face centers, one array per face orientation."""
-    out = []
-    for d in range(grid.dim):
-        coords = grid.face_center_mesh(d)
-        dist = _wall_distance(coords, grid)
-        rho = np.broadcast_to(_rho_from_distance(dist, grid, reg), grid.face_shape(d)).copy()
-        out.append(rho)
-    return out
-
-
 class WallCutoff:
     """The cutoff ``rho_eps`` at the face centers, held as 1-D profiles.
 
@@ -173,8 +161,8 @@ class WallCutoff:
     cell coordinates.  ``faces(d)`` broadcasts the minimum of the trailing
     axes' profiles (a row in 2-D, a plane in 3-D) and lowers it by the
     first axis's profile only in that profile's wall layers, where it lies
-    below 1: the same bits as ``rho_on_faces(grid, reg)[d]``, with no face
-    array held for the run.
+    below 1: the same bits as the smoothstep of each face center's wall
+    distance, with no face array held for the run.
     """
 
     def __init__(self, grid: Grid, reg: RegularizationParams):

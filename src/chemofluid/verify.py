@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,18 +162,12 @@ class VerdictReport:
 
 @dataclass
 class Scenario:
-    """Named parameter set, seeded initial condition, and assertion list.
-
-    ``expected`` records the intended verdict ("pass", or "skip" for runs
-    placed outside the certificate's feasibility region on purpose).
-    """
+    """Named parameter set, seeded initial condition, and assertion list."""
 
     name: str
     description: str
     build: object  # (seed) -> (SimParams, State)
     assertions: list = field(default_factory=list)  # [(name, fn(traj) -> AssertionResult)]
-    expected: str = "pass"
-    key: tuple = None  # distinguishes same-named scenarios on different grids
 
 
 def _base_params(
@@ -431,34 +424,19 @@ def scenario_library(cells=(64, 64), grid: Grid = None) -> dict:
         [("u_decay", swirl_rate_assert), ("completed", _assert_positive)],
     )
 
-    for name, sc in lib.items():
-        sc.key = (name, grid)
     return lib
 
 
-_TRAJ_CACHE: dict = {}
-_KEY_LOCKS: dict = {}  # cache key -> the lock its one computation holds
-_KEY_LOCKS_GUARD = threading.Lock()
-
-
-def run_scenario(scenario: Scenario, seed: int = 0, use_cache: bool = True) -> VerdictReport:
+def run_scenario(scenario: Scenario, seed: int = 0) -> VerdictReport:
     """Run the scenario and evaluate its assertions.
 
     A simulation abort is reported as a failed verdict carrying the cause;
-    the partial trajectory is still attached.  Cached trajectories are
-    computed once per key even when suites run in parallel threads: a
-    second caller waits for the first one's result.
+    the partial trajectory is still attached.
     """
-    if use_cache:
-        key = (scenario.key or scenario.name, seed)
-        with _KEY_LOCKS_GUARD:
-            lock = _KEY_LOCKS.setdefault(key, threading.Lock())
-        with lock:
-            traj = _TRAJ_CACHE.get(key)
-            if traj is None:
-                traj = _TRAJ_CACHE[key] = run(*scenario.build(seed))
-    else:
-        traj = run(*scenario.build(seed))
+    return _verdict(scenario, run(*scenario.build(seed)))
+
+
+def _verdict(scenario: Scenario, traj: Trajectory) -> VerdictReport:
     results = []
     for name, fn in scenario.assertions:
         try:
@@ -669,18 +647,30 @@ def energy_residual_probe(
 # ---------------------------------------------------------------------------
 
 
-def _suite_conservation(cells=(64, 64), seed: int = 0):
+# Each suite takes ``(cells, seed, shared)``.  ``shared`` lives for one
+# ``run_suite`` call and holds the trajectories more than one suite reads.
+
+
+def _shared_run(shared: dict, lib: dict, name: str, seed: int) -> VerdictReport:
+    """A fresh verdict on ``lib[name]``; its run happens once per ``shared``."""
+    traj = shared.get(name)
+    if traj is None:
+        traj = shared[name] = run(*lib[name].build(seed))
+    return _verdict(lib[name], traj)
+
+
+def _suite_conservation(cells, seed, shared):
     lib = scenario_library(cells)
     sc = lib["bump_n"]
     sc = dataclasses.replace(
         sc, build=lambda s: lib["bump_n"].build(s, T=1e9, max_steps=10_000)
     )
-    return [run_scenario(sc, seed=seed, use_cache=False)]
+    return [run_scenario(sc, seed=seed)]
 
 
-def _suite_lyapunov(cells=(64, 64), seed: int = 0):
+def _suite_lyapunov(cells, seed, shared):
     lib = scenario_library(cells)
-    report = run_scenario(lib["random_perturbation"], seed=seed)
+    report = _shared_run(shared, lib, "random_perturbation", seed)
     traj = report.trajectory
     cfg = traj.lyapunov_config
     if isinstance(cfg, LyapunovConfig):
@@ -707,10 +697,8 @@ def _suite_lyapunov(cells=(64, 64), seed: int = 0):
             "C_S at the feasibility boundary: certificate must be skipped",
             lambda s: _infeasible_build(cells, s),
             [("lyapunov_monotone", _assert_lyapunov_monotone), ("completed", _assert_positive)],
-            expected="skip",
         ),
         seed=seed,
-        use_cache=False,
     )
     return [report, infeasible]
 
@@ -727,9 +715,9 @@ def _infeasible_build(cells, seed):
     )
 
 
-def _suite_stabilization(cells=(64, 64), seed: int = 0):
+def _suite_stabilization(cells, seed, shared):
     lib = scenario_library(cells)
-    report = run_scenario(lib["random_perturbation"], seed=seed)
+    report = _shared_run(shared, lib, "random_perturbation", seed)
     traj = report.trajectory
     s = traj.series
     cfg = traj.lyapunov_config
@@ -781,7 +769,7 @@ def _suite_stabilization(cells=(64, 64), seed: int = 0):
     return [report]
 
 
-def _suite_ladder(cells=(64, 64), seed: int = 0):
+def _suite_ladder(cells, seed, shared):
     lib = scenario_library(cells)
     params, initial = lib["bump_n"].build(seed, T=0.1)
     ladder = epsilon_ladder(params, initial, [0.4, 0.2, 0.1, 0.05])
@@ -806,7 +794,7 @@ def mms_resolutions(cells) -> list:
     return [N // 4, N // 2, N]
 
 
-def _suite_mms(cells=(64, 64), seed: int = 0):
+def _suite_mms(cells, seed, shared):
     """Convergence orders on the ladder ``mms_resolutions(cells)``; the seed
     is unused (the manufactured cases are deterministic)."""
     resolutions = mms_resolutions(cells)
@@ -849,11 +837,9 @@ SUITES = {
 
 
 def run_suite(name: str, cells=(64, 64), seed: int = 0):
-    if name == "all":
-        reports = []
-        for key in SUITES:
-            reports.extend(SUITES[key](cells=cells, seed=seed))
-        return reports
-    if name not in SUITES:
+    """Reports of suite ``name``, or of every suite in turn for ``"all"``."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](cells=cells, seed=seed)
+    names = list(SUITES) if name == "all" else [name]
+    shared = {}
+    return [rep for key in names for rep in SUITES[key](cells, seed, shared)]

@@ -10,9 +10,9 @@ from chemofluid.cli import (
     _SCHEMA,
     ConfigError,
     RunConfig,
+    _parse_csv,
     main,
     parse_config,
-    read_csv,
     serialize_config,
 )
 from chemofluid.diagnostics import CSV_COLUMNS
@@ -119,7 +119,7 @@ class TestRunCommand:
         captured = capsys.readouterr().out
         assert "echo: effective parameters" in captured
         assert "C_N" in captured
-        data = read_csv(out / "series.csv")
+        data = _parse_csv((out / "series.csv").read_text())
         assert "lyapunov" in data and len(data["t"]) > 1
         report = dict(
             line.split(" = ", 1)
@@ -188,6 +188,13 @@ class TestRunCommand:
                 assert set(workers) == (set() if k == 0 else {threads})
                 outs.append((out / "series.csv").read_bytes())
             assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_must_be_positive(self, threads, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", "unread.cfg", "--threads", threads])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_snapshots_written(self, tmp_path):
         body = MINIMAL.replace("scenario = bump_n", "scenario = bump_n\nsnapshot_every = 10")
@@ -293,7 +300,7 @@ class TestRunCommand:
         )
         out = tmp_path / "cube"
         assert main(["run", "--config", self._write_cfg(tmp_path, body), "--out", str(out)]) == 0
-        data = read_csv(out / "series.csv")
+        data = _parse_csv((out / "series.csv").read_text())
         assert len(data["t"]) > 2 and data["t"][-1] == pytest.approx(0.004)
         mass = data["mass_n"]
         assert np.abs(mass - mass[0]).max() <= 1e-14 * mass[0]
@@ -346,13 +353,6 @@ class TestMmsCommand:
 
 
 class TestVerifyCommand:
-    @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_threads_must_be_positive(self, threads, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "ladder", "--threads", threads])
-        assert exc.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
-
     def test_mms_suite_skips_a_grid_it_cannot_refine(self, capsys):
         rc = main(["verify", "--suite", "mms", "--cells", "16,8"])
         out = capsys.readouterr().out
@@ -360,11 +360,11 @@ class TestVerifyCommand:
         assert out.count("[SKIP  ] convergence_order") == 3
         assert "mms_diffusion_only.convergence_order.status = skip" in out
 
-    def test_threads_help_names_suite_all(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["verify", "--help"])
-        out = " ".join(capsys.readouterr().out.split())
-        assert "with --suite all, run up to that many suites concurrently" in out
+    def test_threads_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_ladder_suite_small_grid(self, capsys):
         rc = main(["verify", "--suite", "ladder", "--cells", "16,16"])

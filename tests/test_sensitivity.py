@@ -15,14 +15,25 @@ from chemofluid.sensitivity import (
     SensitivitySpec,
     WallCutoff,
     _face_drift_components,
+    _rho_from_distance,
     _rotated_gradient,
+    _wall_distance,
     chemotactic_flux,
     cutoff_rho,
     eval_S_eps,
     f_eps,
-    rho_on_faces,
     rotation_matrix,
 )
+
+
+def rho_on_faces(grid, reg):
+    """Cutoff values at face centers, one array per face orientation: the
+    per-face reference ``WallCutoff`` must reproduce bit for bit."""
+    out = []
+    for d in range(grid.dim):
+        dist = _wall_distance(grid.face_center_mesh(d), grid)
+        out.append(np.broadcast_to(_rho_from_distance(dist, grid, reg), grid.face_shape(d)).copy())
+    return out
 
 
 class TestSpecValidation:

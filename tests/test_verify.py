@@ -1,10 +1,6 @@
 """Scenario harness, epsilon ladder, and convergence runner."""
 
 import dataclasses
-import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -65,12 +61,12 @@ class TestScenarios:
     def test_bump_scenario_passes(self, lib):
         sc = lib["bump_n"]
         sc = dataclasses.replace(sc, build=lambda s: lib["bump_n"].build(s, T=0.02))
-        report = run_scenario(sc, seed=0, use_cache=False)
+        report = run_scenario(sc, seed=0)
         assert report.passed
 
     def test_reports_are_reproducible(self, lib):
-        a = run_scenario(lib["steady_state"], seed=3, use_cache=False)
-        b = run_scenario(lib["steady_state"], seed=3, use_cache=False)
+        a = run_scenario(lib["steady_state"], seed=3)
+        b = run_scenario(lib["steady_state"], seed=3)
         assert [(r.name, r.status, r.measured) for r in a.results] == [
             (r.name, r.status, r.measured) for r in b.results
         ]
@@ -94,7 +90,7 @@ class TestScenarios:
             lambda s: (params, init),
             [("lyapunov_monotone", _assert_lyapunov_monotone)],
         )
-        report = run_scenario(sc, seed=0, use_cache=False)
+        report = run_scenario(sc, seed=0)
         assert report.passed  # skip, not fail
         assert report.results[0].status == "skip"
         assert isinstance(report.trajectory.lyapunov_config, LyapunovInfeasible)
@@ -116,7 +112,7 @@ class TestScenarios:
         from chemofluid.verify import _assert_positive
 
         sc = Scenario("poisoned", "driven negative", build, [("completed", _assert_positive)])
-        report = run_scenario(sc, seed=0, use_cache=False)
+        report = run_scenario(sc, seed=0)
         assert not report.passed
         assert "aborted" in report.results[0].measured
 
@@ -129,31 +125,29 @@ class TestScenarios:
         assert statuses["lyapunov_monotone"] == "skip"
         assert all(r.passed for r in reports)
 
-    def test_cached_trajectory_computed_once_across_threads(self):
-        base = scenario_library((8, 8))["steady_state"]
-        calls = []
-        lock = threading.Lock()
+    def test_each_run_uses_its_own_build(self):
+        lib = scenario_library((16, 16))
+        bump = lib["bump_n"]
+        first = run_scenario(bump)
+        short = run_scenario(dataclasses.replace(bump, build=lambda s: bump.build(s, T=0.01)))
+        assert first.trajectory.series.t[-1] == pytest.approx(0.25)
+        assert short.trajectory.series.t[-1] == pytest.approx(0.01)
 
-        def counted_build(seed):
-            with lock:
-                calls.append(seed)
-            time.sleep(0.2)  # keep the first build running while the others ask
-            return base.build(seed)
+    def test_suite_all_runs_a_shared_trajectory_once_per_call(self, monkeypatch):
+        suites = {k: verify_mod.SUITES[k] for k in ("lyapunov", "stabilization")}
+        monkeypatch.setattr(verify_mod, "SUITES", suites)
+        horizons = []
+        real_run = verify_mod.run
 
-        sc = Scenario(
-            "counted", "steady state, counting its builds", counted_build, base.assertions,
-            key=("counted", object()),
-        )
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as ex:
-                futures = [ex.submit(run_scenario, sc, 0) for _ in range(4)]
-                reports = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert calls == [0]
-        assert all(r.trajectory is reports[0].trajectory for r in reports)
+        def counted_run(params, *args, **kwargs):
+            horizons.append(params.T)
+            return real_run(params, *args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "run", counted_run)
+        run_suite("all", cells=(8, 8))
+        assert horizons.count(0.75) == 1  # random_perturbation, read by both suites
+        run_suite("all", cells=(8, 8))
+        assert horizons.count(0.75) == 2  # nothing outlives a call
 
 
 class _ScaledResolvent:
