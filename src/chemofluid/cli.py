@@ -450,7 +450,7 @@ def _cmd_rates(args) -> int:
 
 def _cmd_mms(args) -> int:
     from .manufactured import mms_cases
-    from .verify import mms_convergence
+    from .verify import mms_convergence, mms_passed
 
     cases = mms_cases()
     if args.case is not None and args.case not in cases:
@@ -469,16 +469,14 @@ def _cmd_mms(args) -> int:
         if conv.pair_orders:
             pairs = ", ".join(f"{p:.3f}" for p in conv.pair_orders)
             print(f"  pair orders [{pairs}], least-squares order {conv.lsq_order:.3f}")
+        good = mms_passed(cases[name], conv)
+        ok = ok and good
         exp = cases[name].expected_order
         if exp is not None:
             lo, hi = exp
-            good = conv.lsq_order >= lo and (hi is None or conv.lsq_order <= hi)
             print(f"  expected order in [{lo}, {hi if hi is not None else 'inf'}]: {'ok' if good else 'FAIL'}")
-            ok = ok and good
         else:
-            good = max(conv.errors) <= 1e-12
             print(f"  expected roundoff errors: {'ok' if good else 'FAIL'}")
-            ok = ok and good
     return 0 if ok else 1
 
 
@@ -518,7 +516,8 @@ def main(argv=None) -> int:
         default=[64, 64],
         help="suite grid (smaller grids for quick smoke runs); the mms suite refines "
         "N/4, N/2, N on a square N,N grid (N a multiple of 4, at least 16) and skips "
-        "on any other",
+        "on any other; --suite all fails at 8,8, where the swirl run's u_decay fit gets "
+        "9 of the 10 samples it needs",
     )
     p_ver.set_defaults(fn=_cmd_verify)
 

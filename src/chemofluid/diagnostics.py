@@ -398,20 +398,22 @@ def stokes_eigenvalue(grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 
 
+BUMP_FRACTION = 0.6
+BUMP_POWER = 4
+
+
 @dataclass(frozen=True)
 class WeakTestSpec:
-    """Separable space factors times a polynomial time bump.
+    """Mode numbers of the separable space factors.
 
     Scalar tests use products of ``cos(k_d pi x_d / L_d)``; the velocity test
     is the discrete-divergence-free curl of a sine-product stream function.
-    The time factor ``(1 - (t/T0)^2)^power`` is supported on ``[0, T0)`` with
-    value 1 at t = 0.
+    Both are multiplied by the time bump ``(1 - (t/T0)^2)^BUMP_POWER`` with
+    ``T0 = BUMP_FRACTION * T``, supported on ``[0, T0)`` with value 1 at t = 0.
     """
 
     scalar_modes: tuple = (1, 1)
     stream_modes: tuple = (1, 1)
-    bump_fraction: float = 0.6
-    power: int = 4
 
 
 class _PolyBump:
@@ -427,9 +429,6 @@ class _PolyBump:
         t = np.asarray(t, dtype=np.float64)
         s = np.clip(t / self.T0, 0.0, 1.0)
         return np.where(t < self.T0, (1.0 - s * s) ** self.p, 0.0)
-
-    def psi_scalar(self, t: float) -> float:
-        return float(self.psi(t))
 
     def int_psi(self, t):
         """Integral of psi from 0 to t (constant beyond the support)."""
@@ -466,13 +465,29 @@ def _quad_weight_psi_rect(bump: _PolyBump, times: np.ndarray):
     return w
 
 
-def _scalar_test(grid: Grid, modes):
-    """Cell values of the separable cosine test function."""
-    ks = [m * np.pi / L for m, L in zip(modes, grid.extents)]
+def _cos_factor(k, x, order):
+    """Derivative ``order`` (0-1) of ``cos(k x)``."""
+    if order == 0:
+        return np.cos(k * x)
+    return -k * np.sin(k * x)
+
+
+def _sin2_factor(k, x, order):
+    """Derivative ``order`` (0-3) of ``sin^2(k x)``."""
+    if order == 0:
+        return np.sin(k * x) ** 2
+    if order == 1:
+        return k * np.sin(2 * k * x)
+    if order == 2:
+        return 2 * k * k * np.cos(2 * k * x)
+    return -4 * k**3 * np.sin(2 * k * x)
+
+
+def _separable(grid: Grid, factor, ks, orders):
+    """Cell values of ``prod_d factor(ks[d], x_d, orders[d])``, in axis order."""
     out = 1.0
-    mesh = grid.cell_center_mesh()
-    for d in range(grid.dim):
-        out = out * np.cos(ks[d] * mesh[d])
+    for k, x, order in zip(ks, grid.cell_center_mesh(), orders):
+        out = out * factor(k, x, order)
     return np.broadcast_to(out, grid.shape).copy()
 
 
@@ -480,81 +495,27 @@ def _stream_test(grid: Grid, modes):
     """Solenoidal velocity test vanishing on every wall.
 
     w = curl of the squared-sine stream function Psi = sin^2(kx x) sin^2(ky y)
-    (times sin^2(kz z) in 3-D, third component zero): both the normal and the
-    tangential traces vanish, so ``int grad(u):grad(w) = -int u . lap(w)``
-    holds for no-slip u with no boundary remainder.
+    (times sin^2(pi z / Lz) in 3-D, third component zero): both the normal
+    and the tangential traces vanish, so ``int grad(u):grad(w) = -int u . lap(w)``
+    holds for no-slip u with no boundary remainder.  Returns the cell values
+    of ``w``, of ``lap(w)`` and of every ``d w_d / d x_e`` keyed ``(d, e)``.
     """
-    kx = modes[0] * np.pi / grid.extents[0]
-    ky = modes[1] * np.pi / grid.extents[1]
-    kz = np.pi / grid.extents[2] if grid.dim == 3 else None
+    dim = grid.dim
+    ks = [m * np.pi / L for m, L in zip(tuple(modes[:2]) + (1,), grid.extents)]
+    unit = np.eye(dim, dtype=int)
 
-    def _g(z):
-        return np.sin(kz * z) ** 2
+    def deriv(d, extra):
+        # w_0 = dPsi/dy and w_1 = -dPsi/dx, differentiated further by the
+        # per-axis orders ``extra``; the third component vanishes
+        if d == 2:
+            return np.zeros(grid.shape)
+        out = _separable(grid, _sin2_factor, ks, extra + unit[1 - d])
+        return -out if d == 1 else out
 
-    def _dg(z):
-        return kz * np.sin(2 * kz * z)
-
-    def _d2g(z):
-        return 2 * kz * kz * np.cos(2 * kz * z)
-
-    def _planar(x, y, d, dx_order, dy_order):
-        """Derivatives of the planar components up to second order."""
-        if d == 0:
-            fx = {
-                0: np.sin(kx * x) ** 2,
-                1: kx * np.sin(2 * kx * x),
-                2: 2 * kx * kx * np.cos(2 * kx * x),
-            }[dx_order]
-            fy = {
-                0: ky * np.sin(2 * ky * y),
-                1: 2 * ky * ky * np.cos(2 * ky * y),
-                2: -4 * ky**3 * np.sin(2 * ky * y),
-            }[dy_order]
-        else:
-            fx = {
-                0: -kx * np.sin(2 * kx * x),
-                1: -2 * kx * kx * np.cos(2 * kx * x),
-                2: 4 * kx**3 * np.sin(2 * kx * x),
-            }[dx_order]
-            fy = {
-                0: np.sin(ky * y) ** 2,
-                1: ky * np.sin(2 * ky * y),
-                2: 2 * ky * ky * np.cos(2 * ky * y),
-            }[dy_order]
-        return fx * fy
-
-    def wd(coords, d):
-        if d >= 2:
-            return np.zeros(1)
-        base = _planar(coords[0], coords[1], d, 0, 0)
-        if grid.dim == 3:
-            base = base * _g(coords[2])
-        return base
-
-    def lap_wd(coords, d):
-        if d >= 2:
-            return np.zeros(1)
-        x, y = coords[0], coords[1]
-        base = _planar(x, y, d, 2, 0) + _planar(x, y, d, 0, 2)
-        if grid.dim == 3:
-            base = base * _g(coords[2]) + _planar(x, y, d, 0, 0) * _d2g(coords[2])
-        return base
-
-    def grad_wd(coords, d, e):
-        if d >= 2:
-            return np.zeros(1)
-        x, y = coords[0], coords[1]
-        if e == 0:
-            base = _planar(x, y, d, 1, 0)
-        elif e == 1:
-            base = _planar(x, y, d, 0, 1)
-        else:
-            return _planar(x, y, d, 0, 0) * _dg(coords[2])
-        if grid.dim == 3:
-            base = base * _g(coords[2])
-        return base
-
-    return wd, lap_wd, grad_wd
+    w = [deriv(d, np.zeros(dim, dtype=int)) for d in range(dim)]
+    lap = [sum(deriv(d, 2 * unit[e]) for e in range(dim)) for d in range(dim)]
+    grad = {(d, e): deriv(d, unit[e]) for d in range(dim) for e in range(dim)}
+    return w, lap, grad
 
 
 def _cell_gradient(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -602,30 +563,16 @@ def weak_residual(trajectory, test_spec: WeakTestSpec = None) -> dict:
     params = trajectory.params
     spec = params.sensitivity
     g = params.grid
-    vol = g.volume_element
     times = np.array([s.t for _, s in snaps])
-    T0 = test_spec.bump_fraction * times[-1]
-    bump = _PolyBump(T0, test_spec.power)
-    if int(np.count_nonzero(times < T0)) < 10:
+    bump = _PolyBump(BUMP_FRACTION * times[-1], BUMP_POWER)
+    if int(np.count_nonzero(times < bump.T0)) < 10:
         raise ValueError("fewer than 10 snapshots inside the time-bump support")
 
-    w_rect = _quad_weight_psi_rect(bump, times)
-    w_dpsi = _quad_weight_dpsi(bump, times)
-    psi0 = bump.psi_scalar(0.0)
-
-    modes = tuple(test_spec.scalar_modes[: g.dim]) + (0,) * max(0, g.dim - len(test_spec.scalar_modes))
-    phi_cells = _scalar_test(g, modes)
+    modes = (tuple(test_spec.scalar_modes) + (0,) * g.dim)[: g.dim]
     ks = [m * np.pi / L for m, L in zip(modes, g.extents)]
+    phi_cells = _separable(g, _cos_factor, ks, np.zeros(g.dim, dtype=int))
+    phi_cgrads = [_separable(g, _cos_factor, ks, unit) for unit in np.eye(g.dim, dtype=int)]
     mesh = g.cell_center_mesh()
-    phi_cgrads = []
-    for d in range(g.dim):
-        gd = 1.0
-        for e in range(g.dim):
-            factor = np.cos(ks[e] * mesh[e])
-            if e == d:
-                factor = -ks[e] * np.sin(ks[e] * mesh[e])
-            gd = gd * factor
-        phi_cgrads.append(np.broadcast_to(gd, g.shape).copy())
 
     rho_cells = rho_on_cells(g, params.regularization)
     if spec.kind == "rotational":
@@ -633,13 +580,7 @@ def weak_residual(trajectory, test_spec: WeakTestSpec = None) -> dict:
     elif spec.kind == "scalar_saturating":
         R = np.eye(g.dim)
 
-    wd, lap_wd, grad_wd = _stream_test(g, test_spec.stream_modes)
-    w_cells, lapw_cells, gradw_cells = [], [], {}
-    for d in range(g.dim):
-        w_cells.append(np.broadcast_to(wd(mesh, d), g.shape).copy())
-        lapw_cells.append(np.broadcast_to(lap_wd(mesh, d), g.shape).copy())
-        for e in range(g.dim):
-            gradw_cells[(d, e)] = np.broadcast_to(grad_wd(mesh, d, e), g.shape).copy()
+    w_cells, lapw_cells, gradw_cells = _stream_test(g, test_spec.stream_modes)
     gradphi_cells = None
     if params.fluid.phi is not None:
         gradphi_cells = [
@@ -647,23 +588,14 @@ def weak_residual(trajectory, test_spec: WeakTestSpec = None) -> dict:
         ]
 
     solver = PoissonSolver(g)
-    K = len(snaps)
-    a_n = np.zeros(K)
-    b_c = np.zeros(K)
-    grad_n_pair = np.zeros(K)
-    grad_c_pair = np.zeros(K)
-    chemo_pair = np.zeros(K)
-    adv_n_pair = np.zeros(K)
-    adv_c_pair = np.zeros(K)
-    u_pair = np.zeros(K)
-    visc_pair = np.zeros(K)
-    conv_pair = np.zeros(K)
-    force_pair = np.zeros(K)
+    # per-snapshot space integrals, keyed by the term they enter
+    names = "a_n b_c grad_n grad_c chemo adv_n adv_c u visc conv force".split()
+    acc = {name: np.zeros(len(snaps)) for name in names}
 
     for k, (_, st) in enumerate(snaps):
         n, c = st.n.data, st.c.data
-        a_n[k] = float((n * phi_cells).sum())
-        b_c[k] = float((c * phi_cells).sum())
+        acc["a_n"][k] = float((n * phi_cells).sum())
+        acc["b_c"][k] = float((c * phi_cells).sum())
         gn = [_cell_gradient(n, g, d) for d in range(g.dim)]
         gc = [_cell_gradient(c, g, d) for d in range(g.dim)]
         u_cell = _u_at_cells(st.u)
@@ -682,59 +614,48 @@ def weak_residual(trajectory, test_spec: WeakTestSpec = None) -> dict:
             ]
         feps_n = f_eps(n, params.regularization.eps)
         for d in range(g.dim):
-            grad_n_pair[k] += float((gn[d] * phi_cgrads[d]).sum())
-            grad_c_pair[k] += float((gc[d] * phi_cgrads[d]).sum())
-            chemo_pair[k] += float((n * feps_n * svec[d] * phi_cgrads[d]).sum())
-            adv_n_pair[k] += float((n * u_cell[d] * phi_cgrads[d]).sum())
-            adv_c_pair[k] += float((c * u_cell[d] * phi_cgrads[d]).sum())
-            u_pair[k] += float((u_cell[d] * w_cells[d]).sum())
-            visc_pair[k] -= float((u_cell[d] * lapw_cells[d]).sum())
+            acc["grad_n"][k] += float((gn[d] * phi_cgrads[d]).sum())
+            acc["grad_c"][k] += float((gc[d] * phi_cgrads[d]).sum())
+            acc["chemo"][k] += float((n * feps_n * svec[d] * phi_cgrads[d]).sum())
+            acc["adv_n"][k] += float((n * u_cell[d] * phi_cgrads[d]).sum())
+            acc["adv_c"][k] += float((c * u_cell[d] * phi_cgrads[d]).sum())
+            acc["u"][k] += float((u_cell[d] * w_cells[d]).sum())
+            acc["visc"][k] -= float((u_cell[d] * lapw_cells[d]).sum())
         if params.fluid.kappa != 0.0:
             yu_cell = _u_at_cells(yosida_apply(st.u, params.fluid.eps, solver))
             for d in range(g.dim):
                 for e in range(g.dim):
-                    conv_pair[k] += float(
+                    acc["conv"][k] += float(
                         (yu_cell[e] * u_cell[d] * gradw_cells[(d, e)]).sum()
                     )
         if gradphi_cells is not None:
             for d in range(g.dim):
-                force_pair[k] += float((n * gradphi_cells[d] * w_cells[d]).sum())
+                acc["force"][k] += float((n * gradphi_cells[d] * w_cells[d]).sum())
 
-    for arr in (
-        a_n,
-        b_c,
-        grad_n_pair,
-        grad_c_pair,
-        chemo_pair,
-        adv_n_pair,
-        adv_c_pair,
-        u_pair,
-        visc_pair,
-        conv_pair,
-        force_pair,
-    ):
-        arr *= vol
-
-    def q_rect(vals):
-        return float((w_rect * vals).sum())
-
-    def q_dpsi(vals):
-        return float((w_dpsi * vals).sum())
+    # time integrals against psi (step-start states) and psi' (linear
+    # interpolant); psi(0) = 1 weighs the initial pairings
+    w_rect = _quad_weight_psi_rect(bump, times)
+    w_dpsi = _quad_weight_dpsi(bump, times)
+    rect, dpsi = {}, {}
+    for name, vals in acc.items():
+        vals *= g.volume_element
+        rect[name] = float((w_rect * vals).sum())
+        dpsi[name] = float((w_dpsi * vals).sum())
 
     r_n = abs(
-        -q_dpsi(a_n)
-        - psi0 * a_n[0]
-        - (-q_rect(grad_n_pair) + q_rect(chemo_pair) + q_rect(adv_n_pair))
+        -dpsi["a_n"]
+        - acc["a_n"][0]
+        - (-rect["grad_n"] + rect["chemo"] + rect["adv_n"])
     )
     r_c = abs(
-        -q_dpsi(b_c)
-        - psi0 * b_c[0]
-        - (-q_rect(grad_c_pair) - q_rect(b_c) + q_rect(a_n) + q_rect(adv_c_pair))
+        -dpsi["b_c"]
+        - acc["b_c"][0]
+        - (-rect["grad_c"] - rect["b_c"] + rect["a_n"] + rect["adv_c"])
     )
     r_u = abs(
-        -q_dpsi(u_pair)
-        - psi0 * u_pair[0]
-        - params.fluid.kappa * q_rect(conv_pair)
-        - (-q_rect(visc_pair) + q_rect(force_pair))
+        -dpsi["u"]
+        - acc["u"][0]
+        - params.fluid.kappa * rect["conv"]
+        - (-rect["visc"] + rect["force"])
     )
     return {"r_n": r_n, "r_c": r_c, "r_u": r_u}

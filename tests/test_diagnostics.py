@@ -10,6 +10,8 @@ from chemofluid.diagnostics import (
     LyapunovConfig,
     LyapunovInfeasible,
     WeakTestSpec,
+    _cos_factor,
+    _sin2_factor,
     budget_check_series,
     fit_decay_rate,
     grad_c_norms,
@@ -315,6 +317,33 @@ class TestGradCNorms:
         assert out.l4_4 == float((mag2 * mag2).sum()) * vol
 
 
+def _central(f, x, h=1e-3):
+    """Fourth-order central first derivative."""
+    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
+
+
+class TestWeakTestFactors:
+    """Each table entry is the x-derivative of the entry one order lower."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        rng = np.random.default_rng(18)
+        return rng.uniform(0.0, 1.0, 40), rng.uniform(0.5, 3.0, 40) * math.pi
+
+    def test_sin2_orders_0_to_3(self, samples):
+        x, k = samples
+        assert np.array_equal(_sin2_factor(k, x, 0), np.sin(k * x) ** 2)
+        for order in (1, 2, 3):
+            fd = _central(lambda s: _sin2_factor(k, s, order - 1), x)
+            assert np.allclose(_sin2_factor(k, x, order), fd, rtol=0, atol=1e-6 * k**order)
+
+    def test_cos_orders_0_to_1(self, samples):
+        x, k = samples
+        assert np.array_equal(_cos_factor(k, x, 0), np.cos(k * x))
+        fd = _central(lambda s: _cos_factor(k, s, 0), x)
+        assert np.allclose(_cos_factor(k, x, 1), fd, rtol=0, atol=1e-6 * k)
+
+
 class TestWeakResidual:
     def _bump_traj(self, N=24, T=0.08, snapshot_every=4, **kw):
         from chemofluid.verify import bump_field
@@ -337,18 +366,35 @@ class TestWeakResidual:
         )
         return run(params, init)
 
-    def test_steady_trajectory_residuals_tiny(self):
-        g = make_grid(2, (1.0, 1.0), (16, 16))
+    @staticmethod
+    def _steady_residuals(cells, sensitivity, snapshot_every):
+        g = make_grid(len(cells), (1.0,) * len(cells), cells)
         params = SimParams(
             grid=g,
-            sensitivity=SensitivitySpec(kind="scalar_saturating", C_S=0.5),
+            sensitivity=sensitivity,
             regularization=RegularizationParams(eps=0.1),
             fluid=FluidParams(kappa=1.0, eps=0.1, phi=default_phi(g)),
             T=0.05,
-            snapshot_every=2,  # 32 of the 64 steps: weak_residual needs 16 snapshots
+            snapshot_every=snapshot_every,
         )
-        traj = run(params, State.homogeneous(g, 1.0))
-        r = weak_residual(traj)
+        return weak_residual(run(params, State.homogeneous(g, 1.0)))
+
+    def test_steady_trajectory_residuals_tiny(self):
+        # every 2nd of the 64 steps: weak_residual needs 16 snapshots
+        scalar = SensitivitySpec(kind="scalar_saturating", C_S=0.5)
+        r = self._steady_residuals((16, 16), scalar, snapshot_every=2)
+        assert all(v <= 1e-10 for v in r.values())
+
+    @pytest.mark.parametrize(
+        "sensitivity",
+        [
+            SensitivitySpec(kind="scalar_saturating", C_S=0.5),
+            SensitivitySpec(kind="rotational", C_S=0.5, theta=math.pi / 2),
+        ],
+        ids=["scalar", "rotational"],
+    )
+    def test_steady_trajectory_residuals_tiny_in_3d(self, sensitivity):
+        r = self._steady_residuals((8, 8, 8), sensitivity, snapshot_every=1)
         assert all(v <= 1e-10 for v in r.values())
 
     def test_constant_test_function_reduces_to_mass(self):

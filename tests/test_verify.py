@@ -21,11 +21,13 @@ from chemofluid.sensitivity import RegularizationParams, SensitivitySpec
 from chemofluid.stepper import SimParams, State, cfl_dt, run
 from chemofluid.fluid import FluidParams
 from chemofluid.verify import (
+    ConvergenceReport,
     Scenario,
     _assert_lyapunov_monotone,
     calibrate_tol_disc,
     epsilon_ladder,
     mms_convergence,
+    mms_passed,
     mms_resolutions,
     run_scenario,
     run_suite,
@@ -331,3 +333,20 @@ class TestMmsRunner:
         conv = mms_convergence(mms_cases()["exact_steady"], [8, 16, 32])
         assert max(conv.errors) <= 1e-12
         assert "order undefined" in conv.note
+
+    @pytest.mark.parametrize(
+        "expected, order, errors, passed",
+        [
+            ((1.8, 2.2), 2.0, [1e-2, 1e-3], True),
+            ((1.8, 2.2), 2.3, [1e-2, 1e-3], False),
+            ((1.8, 2.2), 1.7, [1e-2, 1e-3], False),
+            ((0.9, None), 5.0, [1e-2, 1e-3], True),
+            ((0.9, None), 0.8, [1e-2, 1e-3], False),
+            (None, float("nan"), [0.0, 1e-12], True),
+            (None, 2.0, [1e-11, 1e-13], False),
+        ],
+    )
+    def test_pass_rule(self, expected, order, errors, passed):
+        case = dataclasses.replace(mms_cases()["diffusion_only"], expected_order=expected)
+        conv = ConvergenceReport(case.name, [8, 16], errors, [], order, True)
+        assert mms_passed(case, conv) == passed
