@@ -404,16 +404,16 @@ BUMP_POWER = 4
 
 @dataclass(frozen=True)
 class WeakTestSpec:
-    """Mode numbers of the separable space factors.
+    """Mode numbers ``k_d`` of the scalar test's cosine factors.
 
     Scalar tests use products of ``cos(k_d pi x_d / L_d)``; the velocity test
-    is the discrete-divergence-free curl of a sine-product stream function.
+    is the discrete-divergence-free curl of a sine-product stream function
+    with one half-wave per axis.
     Both are multiplied by the time bump ``(1 - (t/T0)^2)^BUMP_POWER`` with
     ``T0 = BUMP_FRACTION * T``, supported on ``[0, T0)`` with value 1 at t = 0.
     """
 
     scalar_modes: tuple = (1, 1)
-    stream_modes: tuple = (1, 1)
 
 
 class _PolyBump:
@@ -491,30 +491,37 @@ def _separable(grid: Grid, factor, ks, orders):
     return np.broadcast_to(out, grid.shape).copy()
 
 
-def _stream_test(grid: Grid, modes):
+def _stream_test(grid: Grid):
     """Solenoidal velocity test vanishing on every wall.
 
-    w = curl of the squared-sine stream function Psi = sin^2(kx x) sin^2(ky y)
-    (times sin^2(pi z / Lz) in 3-D, third component zero): both the normal
-    and the tangential traces vanish, so ``int grad(u):grad(w) = -int u . lap(w)``
-    holds for no-slip u with no boundary remainder.  Returns the cell values
-    of ``w``, of ``lap(w)`` and of every ``d w_d / d x_e`` keyed ``(d, e)``.
+    w = curl of the squared-sine stream function Psi = sin^2(pi x / Lx)
+    sin^2(pi y / Ly) (times sin^2(pi z / Lz) in 3-D, third component zero):
+    both the normal and the tangential traces vanish, so
+    ``int grad(u):grad(w) = -int u . lap(w)`` holds for no-slip u with no
+    boundary remainder.  Returns the cell values of ``w``, of ``lap(w)`` and
+    of every ``d w_d / d x_e`` keyed ``(d, e)``.
     """
-    dim = grid.dim
-    ks = [m * np.pi / L for m, L in zip(tuple(modes[:2]) + (1,), grid.extents)]
-    unit = np.eye(dim, dtype=int)
+    ks = [np.pi / L for L in grid.extents]
 
-    def deriv(d, extra):
-        # w_0 = dPsi/dy and w_1 = -dPsi/dx, differentiated further by the
-        # per-axis orders ``extra``; the third component vanishes
-        if d == 2:
-            return np.zeros(grid.shape)
-        out = _separable(grid, _sin2_factor, ks, extra + unit[1 - d])
+    def planar(d, ox, oy):
+        # x-y factors of w_0 = dPsi/dy and w_1 = -dPsi/dx, differentiated
+        # further ox times in x and oy times in y
+        out = _separable(grid, _sin2_factor, ks[:2], (ox + d, oy + 1 - d))
         return -out if d == 1 else out
 
-    w = [deriv(d, np.zeros(dim, dtype=int)) for d in range(dim)]
-    lap = [sum(deriv(d, 2 * unit[e]) for e in range(dim)) for d in range(dim)]
-    grad = {(d, e): deriv(d, unit[e]) for d in range(dim) for e in range(dim)}
+    w = [planar(d, 0, 0) for d in range(2)]
+    lap = [planar(d, 2, 0) + planar(d, 0, 2) for d in range(2)]
+    grad = {(d, e): planar(d, 1 - e, e) for d in range(2) for e in range(2)}
+    if grid.dim == 3:
+        # the z factor multiplies the planar sums as a whole
+        z = grid.cell_center_mesh()[2]
+        gz, dgz, d2gz = (_sin2_factor(ks[2], z, order) for order in range(3))
+        zero = np.zeros(grid.shape)
+        grad = {key: v * gz for key, v in grad.items()}
+        grad.update({(d, 2): w[d] * dgz for d in range(2)})
+        grad.update({(2, e): zero for e in range(3)})
+        lap = [lap[d] * gz + w[d] * d2gz for d in range(2)] + [zero]
+        w = [w[d] * gz for d in range(2)] + [zero]
     return w, lap, grad
 
 
@@ -580,7 +587,7 @@ def weak_residual(trajectory, test_spec: WeakTestSpec = None) -> dict:
     elif spec.kind == "scalar_saturating":
         R = np.eye(g.dim)
 
-    w_cells, lapw_cells, gradw_cells = _stream_test(g, test_spec.stream_modes)
+    w_cells, lapw_cells, gradw_cells = _stream_test(g)
     gradphi_cells = None
     if params.fluid.phi is not None:
         gradphi_cells = [

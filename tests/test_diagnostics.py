@@ -1,5 +1,6 @@
 """Poincare constant, Lyapunov machinery, decay fits, weak residuals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from chemofluid.diagnostics import (
     WeakTestSpec,
     _cos_factor,
     _sin2_factor,
+    _stream_test,
     budget_check_series,
     fit_decay_rate,
     grad_c_norms,
@@ -344,6 +346,38 @@ class TestWeakTestFactors:
         assert np.allclose(_cos_factor(k, x, 1), fd, rtol=0, atol=1e-6 * k)
 
 
+class TestStreamTest:
+    """The velocity test's derivatives against its own values."""
+
+    GRIDS = [((48, 40), (1.0, 1.3)), ((32, 40, 40), (1.0, 1.3, 0.6))]
+
+    @pytest.mark.parametrize("cells, extents", GRIDS, ids=["2d", "3d"])
+    def test_derivatives_match_finite_differences(self, cells, extents):
+        # centered differences on an anisotropic box: a sign or axis slip in
+        # any gradient or Laplacian term is an O(1) error, truncation < 1%
+        g = make_grid(len(cells), extents, cells)
+        w, lap, grad = _stream_test(g)
+        inner = (slice(1, -1),) * g.dim
+
+        def fd(a, e):
+            return np.gradient(a, g.spacing[e], axis=e)[inner]
+
+        def close(approx, exact):
+            return np.abs(approx - exact[inner]).max() <= 0.01 * np.abs(exact).max()
+
+        assert np.abs(w[0]).max() > 0 and np.abs(w[1]).max() > 0
+        for d in range(g.dim):
+            for e in range(g.dim):
+                assert close(fd(w[d], e), grad[(d, e)])
+            assert close(sum(fd(grad[(d, e)], e) for e in range(g.dim)), lap[d])
+
+    @pytest.mark.parametrize("cells, extents", GRIDS, ids=["2d", "3d"])
+    def test_divergence_free_exactly(self, cells, extents):
+        g = make_grid(len(cells), extents, cells)
+        _, _, grad = _stream_test(g)
+        assert not np.any(sum(grad[(d, d)] for d in range(g.dim)))
+
+
 class TestWeakResidual:
     def _bump_traj(self, N=24, T=0.08, snapshot_every=4, **kw):
         from chemofluid.verify import bump_field
@@ -396,6 +430,20 @@ class TestWeakResidual:
     def test_steady_trajectory_residuals_tiny_in_3d(self, sensitivity):
         r = self._steady_residuals((8, 8, 8), sensitivity, snapshot_every=1)
         assert all(v <= 1e-10 for v in r.values())
+
+    def test_moving_fluid_residuals_pinned_in_3d(self):
+        # bump_n at 8^3 drives u through the force, so the 3-D viscous,
+        # convective and z-derivative terms all enter r_u
+        params, init = scenario_library((8, 8, 8))["bump_n"].build(0, T=0.1)
+        traj = run(dataclasses.replace(params, snapshot_every=1), init)
+        r = weak_residual(traj)
+        expected = {
+            "r_n": float.fromhex("0x1.4d1e49b5e73c0p-18"),
+            "r_c": float.fromhex("0x1.219b2c4c75ae0p-22"),
+            "r_u": float.fromhex("0x1.7e0bd8c5ab89cp-19"),
+        }
+        for key, value in expected.items():
+            assert r[key] == pytest.approx(value, rel=1e-12, abs=0)
 
     def test_constant_test_function_reduces_to_mass(self):
         traj = self._bump_traj()
