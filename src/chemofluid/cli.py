@@ -11,6 +11,7 @@ CSV with a fixed column order; field snapshots use the binary format from
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from dataclasses import dataclass, fields as dc_fields
@@ -25,10 +26,12 @@ from .diagnostics import (
     make_lyapunov_config,
     poincare_constant,
 )
-from .fluid import DENSE_MAX, PoissonSolver
+from .fluid import DENSE_MAX, FluidParams, PoissonSolver
 from .grid import make_grid, write_field_snapshot
-from .stepper import Trajectory, run
-from .verify import scenario_library
+from .manufactured import mms_cases
+from .sensitivity import KINDS, RegularizationParams, SensitivitySpec
+from .stepper import SimParams, Trajectory, run
+from .verify import default_phi, mms_convergence, mms_passed, scenario_library
 
 __all__ = ["ConfigError", "UsageError", "RunConfig", "parse_config", "serialize_config", "main"]
 
@@ -162,10 +165,9 @@ def parse_config(text: str) -> RunConfig:
             f"line {line_of('model', 'alpha')}: alpha must be >= 1 "
             f"(the decay theory requires it), got {cfg.alpha}"
         )
-    if cfg.kind not in ("scalar_saturating", "rotational"):
+    if cfg.kind not in KINDS:
         raise ConfigError(
-            f"line {line_of('model', 'kind')}: kind must be scalar_saturating or "
-            f"rotational (user_table tensors are library-only), got {cfg.kind!r}"
+            f"line {line_of('model', 'kind')}: kind must be {' or '.join(KINDS)}, got {cfg.kind!r}"
         )
     if cfg.cs <= 0:
         raise ConfigError(f"line {line_of('model', 'cs')}: cs must be positive")
@@ -175,12 +177,28 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"line {line_of('run', 'T')}: T must be positive")
     if not (0 < cfg.sigma <= 1.0):
         raise ConfigError(f"line {line_of('run', 'sigma')}: sigma must lie in (0, 1]")
-    if cfg.csv_every < 1 or cfg.snapshot_every < 0 or cfg.max_steps < 0:
-        raise ConfigError("cadences must be positive (snapshot/max_steps may be 0 = off)")
-    try:
-        make_grid(cfg.dim, cfg.extents, cfg.cells)
-    except ValueError as exc:
-        raise ConfigError(f"line {line_of('grid', 'cells')}: [grid] {exc}")
+    if cfg.csv_every < 1:
+        raise ConfigError(f"line {line_of('run', 'csv_every')}: csv_every must be >= 1")
+    for key in ("snapshot_every", "max_steps"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"line {line_of('run', key)}: {key} must be >= 0 (0 = off)")
+
+    # the [grid] keys in turn, so that an error cites its own key's line
+    def grid_error(key, message):
+        return ConfigError(f"line {line_of('grid', key)}: [grid] {message}")
+
+    if cfg.dim not in (2, 3):
+        raise grid_error("dim", f"dim must be 2 or 3, got {cfg.dim}")
+    for key in ("cells", "extents"):
+        length = len(getattr(cfg, key))
+        if length != cfg.dim:
+            raise grid_error(key, f"extents/cells must have length dim={cfg.dim}, {key} has {length}")
+    # make_grid checks the values: the extents first, against valid cells
+    for key, cells in (("extents", (4,) * cfg.dim), ("cells", cfg.cells)):
+        try:
+            make_grid(cfg.dim, cfg.extents, cells)
+        except ValueError as exc:
+            raise grid_error(key, exc) from None
     return cfg
 
 
@@ -206,29 +224,18 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def _build_run(cfg: RunConfig):
-    lib = scenario_library(grid=make_grid(cfg.dim, cfg.extents, cfg.cells))
+    """The config's parameters and its scenario's initial state."""
+    grid = make_grid(cfg.dim, cfg.extents, cfg.cells)
+    lib = scenario_library(grid=grid)
     if cfg.scenario not in lib:
         raise ConfigError(
             f"unknown scenario {cfg.scenario!r}; built-ins: {sorted(lib)}"
         )
-    params, initial = lib[cfg.scenario].build(cfg.seed)
-    import dataclasses
-
-    from .fluid import FluidParams
-    from .sensitivity import RegularizationParams, SensitivitySpec
-    from .verify import default_phi
-
-    grid = params.grid
-    spec = SensitivitySpec(
-        kind=cfg.kind,
-        C_S=cfg.cs,
-        alpha=cfg.alpha,
-        theta=cfg.theta,
-    )
+    _, initial = lib[cfg.scenario].build(cfg.seed)
     phi = default_phi(grid, cfg.phi_strength) if cfg.phi_strength != 0 else None
-    params = dataclasses.replace(
-        params,
-        sensitivity=spec,
+    params = SimParams(
+        grid=grid,
+        sensitivity=SensitivitySpec(kind=cfg.kind, C_S=cfg.cs, alpha=cfg.alpha, theta=cfg.theta),
         regularization=RegularizationParams(eps=cfg.eps),
         fluid=FluidParams(kappa=cfg.kappa, eps=cfg.eps, phi=phi),
         T=cfg.T,
@@ -340,8 +347,6 @@ def _write_snapshots(outdir: str, traj: Trajectory) -> None:
 def _cmd_run(args) -> int:
     cfg = parse_config(_read_input(args.config))
     if args.seed is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, seed=args.seed)
     outdir = args.out or cfg.out or "."
     try:
@@ -449,9 +454,6 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_mms(args) -> int:
-    from .manufactured import mms_cases
-    from .verify import mms_convergence, mms_passed
-
     cases = mms_cases()
     if args.case is not None and args.case not in cases:
         raise UsageError(f"unknown case {args.case!r}; choose from {sorted(cases)}")

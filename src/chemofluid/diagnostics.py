@@ -26,15 +26,17 @@ from math import comb
 
 import numpy as np
 
-from .fluid import PoissonSolver, stencil_eigenvalues
+from .fluid import PoissonSolver, stencil_eigenvalues, yosida_apply
 from .grid import (
     Grid,
     ScalarField,
     VectorField,
     _axis_slices,
     _mirror_pad,
+    faces_to_cells,
     gradient_cc,
 )
+from .sensitivity import f_eps, rho_on_cells, rotation_matrix
 
 __all__ = [
     "DiagnosticsSeries",
@@ -533,8 +535,6 @@ def _cell_gradient(data: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
 
 
 def _u_at_cells(U: VectorField) -> list:
-    from .grid import faces_to_cells
-
     return [faces_to_cells(U.components[d], d) for d in range(U.grid.dim)]
 
 
@@ -552,14 +552,6 @@ def weak_residual(trajectory, test_spec: WeakTestSpec = None) -> dict:
     integrate to roundoff.  Residuals behave like O(h + snapshot spacing)
     and roughly halve when both refine together.
     """
-    from .fluid import yosida_apply
-    from .sensitivity import (
-        _clamped_table_matrices,
-        f_eps,
-        rho_on_cells,
-        rotation_matrix,
-    )
-
     if test_spec is None:
         test_spec = WeakTestSpec()
     snaps = trajectory.snapshots
@@ -579,13 +571,9 @@ def weak_residual(trajectory, test_spec: WeakTestSpec = None) -> dict:
     ks = [m * np.pi / L for m, L in zip(modes, g.extents)]
     phi_cells = _separable(g, _cos_factor, ks, np.zeros(g.dim, dtype=int))
     phi_cgrads = [_separable(g, _cos_factor, ks, unit) for unit in np.eye(g.dim, dtype=int)]
-    mesh = g.cell_center_mesh()
 
     rho_cells = rho_on_cells(g, params.regularization)
-    if spec.kind == "rotational":
-        R = rotation_matrix(g.dim, spec.theta)
-    elif spec.kind == "scalar_saturating":
-        R = np.eye(g.dim)
+    R = rotation_matrix(g.dim, spec.theta) if spec.kind == "rotational" else np.eye(g.dim)
 
     w_cells, lapw_cells, gradw_cells = _stream_test(g)
     gradphi_cells = None
@@ -607,18 +595,11 @@ def weak_residual(trajectory, test_spec: WeakTestSpec = None) -> dict:
         gc = [_cell_gradient(c, g, d) for d in range(g.dim)]
         u_cell = _u_at_cells(st.u)
         # drift vector S_eps grad(c) at cells
-        if spec.kind == "user_table":
-            mats = _clamped_table_matrices(spec, mesh, n, c)
-            svec = [
-                sum(mats[..., d, e] * gc[e] for e in range(g.dim)) * rho_cells
-                for d in range(g.dim)
-            ]
-        else:
-            scale = rho_cells * spec.C_S * (1.0 + n) ** (-spec.alpha)
-            svec = [
-                scale * sum(R[d, e] * gc[e] for e in range(g.dim) if R[d, e] != 0.0)
-                for d in range(g.dim)
-            ]
+        scale = rho_cells * spec.C_S * (1.0 + n) ** (-spec.alpha)
+        svec = [
+            scale * sum(R[d, e] * gc[e] for e in range(g.dim) if R[d, e] != 0.0)
+            for d in range(g.dim)
+        ]
         feps_n = f_eps(n, params.regularization.eps)
         for d in range(g.dim):
             acc["grad_n"][k] += float((gn[d] * phi_cgrads[d]).sum())

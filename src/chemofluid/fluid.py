@@ -623,9 +623,9 @@ def divergence_max(U: VectorField) -> float:
     return _abs_max(divergence_fc(U).data)
 
 
-def _incompressibility_tolerance(grid: Grid, umax: float, tol: float = 1e-9) -> float:
+def _incompressibility_tolerance(grid: Grid, umax: float) -> float:
     """Divergence allowed in a velocity on ``grid`` whose ``max |u|`` is ``umax``."""
-    return tol * (1.0 + umax) / min(grid.spacing)
+    return 1e-9 * (1.0 + umax) / min(grid.spacing)
 
 
 def ns_substep(

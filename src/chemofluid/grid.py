@@ -133,7 +133,7 @@ def make_grid(dim: int, extents, cells) -> Grid:
         )
     for d, L in enumerate(extents):
         if not np.isfinite(L) or L <= 0:
-            raise ValueError(f"extent along axis {d} must be positive, got {L}")
+            raise ValueError(f"extents must be positive, got {L} on axis {d}")
     for d, N in enumerate(cells):
         if N < 4:
             raise ValueError(f"need at least 4 cells per axis, got {N} on axis {d}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluid import FluidParams
-from .grid import Grid, ScalarField, VectorField, make_grid
+from .grid import Grid, ScalarField, VectorField, l2_sq, make_grid, vector_l2_sq
 from .sensitivity import RegularizationParams, SensitivitySpec
 from .stepper import SimParams, State
 
@@ -48,7 +48,7 @@ class MmsCase:
     T: float
     expected_order: tuple  # (lo, hi) or None when errors sit at roundoff
 
-    def make_params(self, N: int, cfl_sigma: float = 0.4) -> SimParams:
+    def make_params(self, N: int) -> SimParams:
         grid = make_grid(2, (1.0, 1.0), (N, N))
         spec = SensitivitySpec(kind="scalar_saturating", C_S=self.C_S, alpha=self.alpha)
         reg = RegularizationParams(eps=self.eps)
@@ -65,7 +65,6 @@ class MmsCase:
             regularization=reg,
             fluid=fluid,
             T=self.T,
-            cfl_sigma=cfl_sigma,
             forcing_n=self.forcing_n,
             forcing_c=self.forcing_c,
             forcing_u=self.forcing_u,
@@ -92,8 +91,6 @@ def sample_exact_state(case: MmsCase, grid: Grid, t: float) -> State:
 
 def mms_error(case: MmsCase, state: State) -> float:
     """Combined L2 error of (n, c, u) against the manufactured fields."""
-    from .grid import l2_sq, vector_l2_sq
-
     g = state.n.grid
     exact = sample_exact_state(case, g, state.t)
     en = np.sqrt(l2_sq(ScalarField(g, state.n.data - exact.n.data)))

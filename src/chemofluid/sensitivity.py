@@ -29,11 +29,9 @@ from .grid import (
     _axis_slices,
     _upwind_select,
     _zero_walls,
-    cells_to_faces,
     face_component_at_faces,
     gradient_cc,
     gradient_component,
-    upwind_cells_to_faces,
 )
 
 __all__ = [
@@ -47,7 +45,7 @@ __all__ = [
     "chemotactic_flux",
 ]
 
-KINDS = ("scalar_saturating", "rotational", "user_table")
+KINDS = ("scalar_saturating", "rotational")
 
 
 @dataclass(frozen=True)
@@ -56,16 +54,13 @@ class SensitivitySpec:
 
     ``scalar_saturating`` is ``C_S * (1+n)**(-alpha) * I``; ``rotational``
     multiplies that by a planar rotation through ``theta`` (about the z axis
-    in 3-D).  ``user_table`` delegates to a callable
-    ``table(x_coords, n, c) -> (..., dim, dim)`` whose output is clamped to
-    the operator-norm bound.
+    in 3-D).
     """
 
     kind: str
     C_S: float
     alpha: float = 1.0
     theta: float = 0.0
-    table: object = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -74,35 +69,24 @@ class SensitivitySpec:
             raise ValueError(f"C_S must be positive, got {self.C_S}")
         if not (self.alpha >= 1.0):
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.kind == "user_table" and not callable(self.table):
-            raise ValueError("user_table kind requires a callable table")
 
 
 @dataclass(frozen=True)
 class RegularizationParams:
-    """Regularization strength and wall-cutoff layer width.
+    """Regularization strength; it sets the wall-cutoff layer width.
 
-    ``delta`` defaults to ``min(eps * min_i L_i, min_i L_i / 4)`` when not
-    given.  ``eps`` lies in [0, 1]; 0 disables the regularization.
+    The layer width is ``min(eps * min_i L_i, min_i L_i / 4)``.  ``eps``
+    lies in [0, 1]; 0 disables the regularization.
     """
 
     eps: float
-    delta: float = None
 
     def __post_init__(self):
         if not (0.0 <= self.eps <= 1.0):
             raise ValueError(f"eps must lie in [0, 1], got {self.eps}")
-        if self.delta is not None and self.delta <= 0:
-            raise ValueError(f"explicit delta must be positive, got {self.delta}")
 
     def layer_width(self, grid: Grid) -> float:
         lmin = min(grid.extents)
-        if self.delta is not None:
-            if self.delta > lmin / 4 + 1e-15:
-                raise ValueError(
-                    f"delta={self.delta} exceeds min extent / 4 = {lmin / 4}"
-                )
-            return self.delta
         return min(self.eps * lmin, lmin / 4)
 
 
@@ -229,24 +213,9 @@ def eval_S_eps(spec: SensitivitySpec, reg: RegularizationParams, x, n: float, c:
     bound = float(_bound(spec, n))
     if spec.kind == "scalar_saturating":
         S = bound * np.eye(grid.dim)
-    elif spec.kind == "rotational":
-        S = bound * rotation_matrix(grid.dim, spec.theta)
     else:
-        S = np.asarray(spec.table(x, n, c), dtype=np.float64)
-        if S.shape != (grid.dim, grid.dim):
-            raise ValueError(f"table returned shape {S.shape}, expected {(grid.dim,) * 2}")
-        norm = np.linalg.norm(S, ord=2)
-        if norm > bound:
-            S = S * (bound / norm)
+        S = bound * rotation_matrix(grid.dim, spec.theta)
     return rho * S
-
-
-def _clamped_table_matrices(spec: SensitivitySpec, coords, n, c):
-    mats = np.asarray(spec.table(coords, n, c), dtype=np.float64)
-    norms = np.linalg.norm(mats, ord=2, axis=(-2, -1))
-    bound = _bound(spec, n)
-    scale = np.minimum(1.0, bound / np.maximum(norms, 1e-300))
-    return mats * scale[..., None, None]
 
 
 def _rotated_gradient(grad_c: VectorField, R: np.ndarray, d: int) -> np.ndarray:
@@ -303,8 +272,6 @@ def _face_drift_components(
         cutoff = WallCutoff(g, reg)
     if grad_c is None and spec.kind != "scalar_saturating":
         grad_c = gradient_cc(c)  # every axis reads every component
-    if spec.kind == "user_table":
-        return _table_drift_components(n, c, spec, reg, cutoff, grad_c)
     if spec.kind == "rotational":
         R = rotation_matrix(g.dim, spec.theta)
     if reg.eps != 0.0:
@@ -350,43 +317,13 @@ def _face_drift_components(
     return n_up_list, drift_list
 
 
-def _table_drift_components(n, c, spec, reg, cutoff, grad_c):
-    """``_face_drift_components`` for the ``user_table`` kind: the table is
-    evaluated at the face averages for the direction, then again at the
-    upwind density."""
-    g = n.grid
-    n_up_list, drift_list = [], []
-    for d in range(g.dim):
-        coords = g.face_center_mesh(d)
-        rho = cutoff.faces(d)
-        grads = [face_component_at_faces(grad_c.components[e], g, e, d) for e in range(g.dim)]
-        n_bar = cells_to_faces(n.data, g, d)
-        c_bar = cells_to_faces(c.data, g, d)
-        mats = _clamped_table_matrices(spec, coords, n_bar, c_bar)
-        sg = np.zeros(g.face_shape(d))
-        for e in range(g.dim):
-            sg += mats[..., d, e] * grads[e]
-        direction = rho * sg
-        n_up = upwind_cells_to_faces(n.data, g, d, direction)
-        mats_up = _clamped_table_matrices(spec, coords, n_up, c_bar)
-        sg_up = np.zeros(g.face_shape(d))
-        for e in range(g.dim):
-            sg_up += mats_up[..., d, e] * grads[e]
-        drift = rho * f_eps(n_up, reg.eps) * sg_up
-        _zero_walls(drift, d)
-        n_up_list.append(n_up)
-        drift_list.append(drift)
-    return n_up_list, drift_list
-
-
 def chemotactic_flux(
     n: ScalarField,
     c: ScalarField,
     spec: SensitivitySpec,
     reg: RegularizationParams,
-    cutoff: WallCutoff = None,
 ) -> VectorField:
     """Face flux ``n~ f_eps(n~) S_eps grad(c)`` with upwinded face density."""
-    n_up, drift = _face_drift_components(n, c, spec, reg, cutoff)
+    n_up, drift = _face_drift_components(n, c, spec, reg)
     comps = [n_up[d] * drift[d] for d in range(n.grid.dim)]
     return VectorField(n.grid, comps)

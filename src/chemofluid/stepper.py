@@ -106,12 +106,12 @@ class State:
     P: ScalarField
 
     @classmethod
-    def homogeneous(cls, grid: Grid, n0: float, c0: float = None) -> "State":
-        c0 = n0 if c0 is None else c0
+    def homogeneous(cls, grid: Grid, n0: float) -> "State":
+        """The fixed point ``n = c = n0``, ``u = 0``."""
         return cls(
             t=0.0,
             n=ScalarField.full(grid, n0),
-            c=ScalarField.full(grid, c0),
+            c=ScalarField.full(grid, n0),
             u=VectorField.zeros(grid),
             P=ScalarField.zeros(grid),
         )

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chemofluid import fluid
+from chemofluid import fluid, stepper
 from chemofluid.cli import (
     _SCHEMA,
     ConfigError,
@@ -16,7 +16,7 @@ from chemofluid.cli import (
     serialize_config,
 )
 from chemofluid.diagnostics import CSV_COLUMNS
-from chemofluid.fluid import DENSE_MAX, PoissonSolver
+from chemofluid.fluid import DENSE_MAX, PoissonSolver, SolverFailure
 from chemofluid.stepper import STEP_BOUNDS
 
 MINIMAL = """
@@ -62,10 +62,26 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL + "\n[model]\ncs = 0.9\n")
         assert cfg.cs == 0.9
 
-    def test_user_table_is_library_only(self):
+    def test_unknown_kind_cites_its_line(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(MINIMAL + "\n[model]\nkind = user_table\n")
-        assert "library-only" in str(exc.value)
+        assert "line 12: kind must be scalar_saturating or rotational" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("dim = 2", "dim = 4", "line 2: [grid] dim must be 2 or 3, got 4"),
+            ("extents = 1.0,1.0", "extents = -1.0,1.0", "line 4: [grid] extents must be positive"),
+            ("T = 1", "T = 1\ncsv_every = 0", "line 7: csv_every must be >= 1"),
+            ("T = 1", "T = 1\nsnapshot_every = -1", "line 7: snapshot_every must be >= 0"),
+            ("T = 1", "T = 1\nmax_steps = -3", "line 7: max_steps must be >= 0"),
+        ],
+    )
+    def test_out_of_range_value_cites_its_own_line(self, old, new, message):
+        text = "[grid]\ndim = 2\ncells = 8,8\nextents = 1.0,1.0\n[run]\nT = 1\nscenario = bump_n\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text.replace(old, new))
+        assert message in str(exc.value)
 
     def test_unknown_key_with_line_number(self):
         text = "[grid]\ndim = 2\ncells = 8,8\nextents = 1,1\nwibble = 3\n[run]\nT = 1\nscenario = bump_n\n"
@@ -207,6 +223,31 @@ class TestRunCommand:
 
         data, extents = read_field_snapshot(kssf[0])
         assert data.shape == (24, 24) and extents == (1.0, 1.0)
+
+    def test_aborted_run_writes_its_report_and_exits_1(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        substep = stepper.ns_substep
+
+        def failing_third_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SolverFailure("injected", 1.0)
+            return substep(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "ns_substep", failing_third_call)
+        body = MINIMAL.replace("cells = 24,24", "cells = 8,8").replace("T = 0.004", "T = 0.1")
+        out = tmp_path / "out"
+        assert main(["run", "--config", self._write_cfg(tmp_path, body), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "run aborted: step 3: SolverFailure: injected (relative residual=1.000e+00)\n"
+        report = dict(
+            line.split(" = ", 1)
+            for line in (out / "run_report.txt").read_text().splitlines()
+            if " = " in line
+        )
+        assert report["status"] == "aborted"
+        assert report["steps"] == "2"
+        assert report["error"] == "step 3: SolverFailure: injected (relative residual=1.000e+00)"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, MINIMAL + "\n[model]\nalpha = 0.2\n")

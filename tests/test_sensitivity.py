@@ -48,6 +48,8 @@ class TestSpecValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             SensitivitySpec(kind="mystery", C_S=1.0)
+        with pytest.raises(ValueError):  # a removed kind
+            SensitivitySpec(kind="user_table", C_S=1.0)
 
     def test_eps_range(self):
         with pytest.raises(ValueError):
@@ -140,12 +142,6 @@ class TestEvalTensor:
         specs = [
             SensitivitySpec(kind="scalar_saturating", C_S=1.3, alpha=1.0),
             SensitivitySpec(kind="rotational", C_S=1.3, alpha=1.5, theta=1.1),
-            SensitivitySpec(
-                kind="user_table",
-                C_S=1.3,
-                alpha=1.0,
-                table=lambda x, n, c: 5.0 * np.ones((2, 2)),
-            ),
         ]
         reg = RegularizationParams(eps=0.3)
         for spec in specs:
@@ -371,9 +367,8 @@ class TestWallCutoff:
     @pytest.mark.parametrize("extents, cells", CUTOFF_GRIDS)
     def test_profile_minimum_equals_rho_on_faces_bitwise(self, extents, cells):
         g = make_grid(len(cells), extents, cells)
-        lmin = min(extents)
-        regs = [RegularizationParams(eps=eps) for eps in (0.0, 0.05, 0.1, 0.37, 1.0)]
-        regs += [RegularizationParams(eps=0.2, delta=f * lmin) for f in (0.25, 1 / 7, 0.013)]
+        # 0.25 and above: the layer width is capped at min extent / 4
+        regs = [RegularizationParams(eps=eps) for eps in (0.0, 0.013, 0.05, 0.1, 1 / 7, 0.25, 0.37, 1.0)]
         for reg in regs:
             cutoff = WallCutoff(g, reg)
             for d, rho in enumerate(rho_on_faces(g, reg)):
