@@ -100,20 +100,17 @@ class RunConfig:
 
 
 def _parse_value(kind, raw, where):
+    if kind is str:
+        return raw
+    scalar = float if kind in (float, "float_list") else int
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        if kind == "int_list":
-            return tuple(int(v.strip()) for v in raw.split(","))
-        if kind == "float_list":
-            return tuple(float(v.strip()) for v in raw.split(","))
+        value = scalar(raw) if kind in (int, float) else tuple(map(scalar, raw.split(",")))
     except ValueError:
-        raise ConfigError(f"{where}: cannot parse {raw!r} as {kind}")
-    raise ConfigError(f"{where}: unknown value kind {kind}")
+        raise ConfigError(f"{where}: cannot parse {raw!r} as {kind}") from None
+    # NaN passes every range check below (``nan <= 0`` is False)
+    if scalar is float and not np.all(np.isfinite(value)):
+        raise ConfigError(f"{where}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -169,6 +166,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"line {line_of('model', 'kind')}: kind must be {' or '.join(KINDS)}, got {cfg.kind!r}"
         )
+    if cfg.theta != 0.0 and cfg.kind != "rotational":
+        where = f"line {line_of('model', 'theta')}"
+        raise ConfigError(f"{where}: theta acts only with kind = rotational, got kind = {cfg.kind}")
     if cfg.cs <= 0:
         raise ConfigError(f"line {line_of('model', 'cs')}: cs must be positive")
     if not (0.0 <= cfg.eps <= 1.0):

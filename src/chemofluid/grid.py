@@ -165,9 +165,9 @@ class ScalarField:
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        """Sample ``fn(*coords)`` at cell centers."""
+        """Sample ``fn(*coords)`` at cell centers into one new C-ordered array."""
         mesh = grid.cell_center_mesh()
-        return cls(grid, np.broadcast_to(fn(*mesh), grid.shape).astype(np.float64).copy())
+        return cls(grid, np.broadcast_to(fn(*mesh), grid.shape).astype(np.float64, order="C"))
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.data.copy())
@@ -207,6 +207,16 @@ class VectorField:
     @classmethod
     def zeros(cls, grid: Grid) -> "VectorField":
         return cls(grid, [np.zeros(grid.face_shape(d)) for d in range(grid.dim)])
+
+    @classmethod
+    def from_function(cls, grid: Grid, fn) -> "VectorField":
+        """Sample ``fn(d, *coords)`` at the ``d``-face centers into one new
+        C-ordered array per component, its wall faces zeroed in place."""
+        comps = []
+        for d in range(grid.dim):
+            comp = np.broadcast_to(fn(d, *grid.face_center_mesh(d)), grid.face_shape(d))
+            comps.append(_zero_walls(comp.astype(np.float64, order="C"), d))
+        return cls(grid, comps)
 
     def copy(self) -> "VectorField":
         return VectorField(self.grid, [c.copy() for c in self.components])

@@ -77,15 +77,7 @@ class MmsCase:
 def sample_exact_state(case: MmsCase, grid: Grid, t: float) -> State:
     n = ScalarField.from_function(grid, lambda x, y: case.n_exact(x, y, t))
     c = ScalarField.from_function(grid, lambda x, y: case.c_exact(x, y, t))
-    comps = []
-    for d in range(grid.dim):
-        coords = grid.face_center_mesh(d)
-        comps.append(
-            np.broadcast_to(
-                case.u_exact(coords[0], coords[1], t, d), grid.face_shape(d)
-            ).copy()
-        )
-    u = VectorField(grid, comps).zero_wall_normal()
+    u = VectorField.from_function(grid, lambda d, x, y: case.u_exact(x, y, t, d))
     return State(t=t, n=n, c=c, u=u, P=ScalarField.zeros(grid))
 
 

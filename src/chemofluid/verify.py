@@ -9,6 +9,7 @@ checks; every report is reproducible bitwise for a fixed seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -79,17 +80,19 @@ def bump_field(grid: Grid, base: float, amp: float) -> ScalarField:
 
 
 def random_smooth_field(grid: Grid, rng: np.random.Generator, amp: float) -> ScalarField:
-    """Mean-zero random combination of the cosine modes 0-3 per axis,
-    scaled to max |amp|."""
-    data = np.zeros(grid.shape)
-    mesh = grid.cell_center_mesh()
-    modes = [m for m in np.ndindex(*(4,) * grid.dim) if any(mi > 0 for mi in m)]
-    for m in modes:
-        a = rng.standard_normal()
-        term = np.ones(grid.shape)
-        for d in range(grid.dim):
-            term = term * np.cos(m[d] * np.pi * mesh[d] / grid.extents[d])
-        data += a * term
+    """Mean-zero random combination of the cosine modes 0-3 per axis, scaled
+    to max |amp|.  Each mode's term is the outer product of one row of each
+    axis's 1-D cosine table, written into one work array."""
+    k_pi = np.arange(4) * np.pi
+    tables = [
+        np.cos(np.multiply.outer(k_pi, grid.cell_coords(d)) / L) for d, L in enumerate(grid.extents)
+    ]
+    data, term = np.zeros(grid.shape), np.empty(grid.shape)
+    for m in list(np.ndindex(*(4,) * grid.dim))[1:]:  # every mode but the constant
+        rows = [table[k] for table, k in zip(tables, m)]
+        np.multiply.outer(functools.reduce(np.multiply.outer, rows[:-1]), rows[-1], out=term)
+        term *= rng.standard_normal()
+        data += term
     peak = np.abs(data).max()
     if peak > 0:
         data *= amp / peak
@@ -100,25 +103,18 @@ def swirl_velocity(grid: Grid, amplitude: float) -> VectorField:
     """Stream-function swirl vanishing on all walls (projected at run start)."""
     Lx, Ly = grid.extents[0], grid.extents[1]
 
-    def comp(coords, d):
-        x, y = coords[0], coords[1]
-        sx2 = np.sin(np.pi * x / Lx) ** 2
-        sy2 = np.sin(np.pi * y / Ly) ** 2
+    def comp(d, x, y, *z):
         if d == 0:
-            out = amplitude * sx2 * np.sin(2 * np.pi * y / Ly)
+            out = amplitude * np.sin(np.pi * x / Lx) ** 2 * np.sin(2 * np.pi * y / Ly)
         elif d == 1:
-            out = -amplitude * np.sin(2 * np.pi * x / Lx) * sy2
+            out = -amplitude * np.sin(2 * np.pi * x / Lx) * np.sin(np.pi * y / Ly) ** 2
         else:
-            return np.zeros(1)
-        if grid.dim == 3:
-            out = out * np.cos(np.pi * coords[2] / grid.extents[2])
+            return 0.0
+        if z:
+            out = out * np.cos(np.pi * z[0] / grid.extents[2])
         return out
 
-    comps = []
-    for d in range(grid.dim):
-        coords = grid.face_center_mesh(d)
-        comps.append(np.broadcast_to(comp(coords, d), grid.face_shape(d)).copy())
-    return VectorField(grid, comps).zero_wall_normal()
+    return VectorField.from_function(grid, comp)
 
 
 def default_phi(grid: Grid, strength: float = 0.1) -> ScalarField:

@@ -83,6 +83,18 @@ class TestParseConfig:
             parse_config(text.replace(old, new))
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize("kind", ["", "kind = scalar_saturating\n"], ids=["default", "explicit"])
+    def test_theta_without_rotational_kind_cites_its_line(self, kind):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "\n[model]\n" + kind + "theta = 0.7\n")
+        line = 13 if kind else 12
+        assert f"line {line}: theta acts only with kind = rotational" in str(exc.value)
+
+    def test_theta_with_rotational_kind_parses(self):
+        cfg = parse_config(MINIMAL + "\n[model]\nkind = rotational\ntheta = 0.7\n")
+        assert (cfg.kind, cfg.theta) == ("rotational", 0.7)
+        assert parse_config(MINIMAL + "\n[model]\ntheta = 0.0\n").theta == 0.0
+
     def test_unknown_key_with_line_number(self):
         text = "[grid]\ndim = 2\ncells = 8,8\nextents = 1,1\nwibble = 3\n[run]\nT = 1\nscenario = bump_n\n"
         with pytest.raises(ConfigError) as exc:
@@ -253,6 +265,25 @@ class TestRunCommand:
         cfg = self._write_cfg(tmp_path, MINIMAL + "\n[model]\nalpha = 0.2\n")
         assert main(["run", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("", "[model]\ncs = nan", "line 12: 'nan' is not a finite number"),
+            ("", "[model]\nalpha = nan", "line 12: 'nan' is not a finite number"),
+            ("", "[model]\ntheta = nan", "line 12: 'nan' is not a finite number"),
+            ("", "[model]\nkappa = nan", "line 12: 'nan' is not a finite number"),
+            ("", "[model]\nphi_strength = inf", "line 12: 'inf' is not a finite number"),
+            ("T = 0.004", "T = nan", "line 8: 'nan' is not a finite number"),
+            ("extents = 1.0,1.0", "extents = 1.0,-inf", "line 5: '1.0,-inf' is not a finite number"),
+        ],
+        ids=["cs", "alpha", "theta", "kappa", "phi_strength", "T", "extents"],
+    )
+    def test_non_finite_value_exits_2_with_one_line(self, tmp_path, capsys, old, new, message):
+        body = MINIMAL.replace(old, new) if old else MINIMAL + "\n" + new + "\n"
+        assert main(["run", "--config", self._write_cfg(tmp_path, body)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"  # one line, no traceback
 
     @pytest.mark.parametrize(
         "argv, message",
