@@ -2,8 +2,11 @@
 
 With the scalars homogeneous, the momentum equation is an unforced no-slip
 flow: the kinetic energy decays exponentially at twice the smallest
-eigenvalue of the projected operator, which an independent direct
-stream-function eigen-solve supplies.
+eigenvalue of the projected operator.  ``stokes_eigenvalue`` supplies it by a
+preconditioned block iteration on the run's own projection and no-slip
+Laplacian; what keeps that reference independent of the stepper is the test
+suite, which checks it against eigenvalues assembled column by column from
+the MAC kernels (2-D stream functions, 3-D divergence-free face bases).
 """
 
 from chemofluid.diagnostics import fit_decay_rate, stokes_eigenvalue

@@ -26,7 +26,15 @@ from math import comb
 
 import numpy as np
 
-from .fluid import PoissonSolver, stencil_eigenvalues, yosida_apply
+from .fluid import (
+    PoissonSolver,
+    SolverFailure,
+    diffusion_resolvent,
+    helmholtz_project,
+    laplacian_noslip,
+    stencil_eigenvalues,
+    yosida_apply,
+)
 from .grid import (
     Grid,
     ScalarField,
@@ -340,59 +348,108 @@ def steady_state_distance(state) -> SteadyStateDistance:
 # ---------------------------------------------------------------------------
 
 
+# residual ``||P A x - lambda x||`` below which the eigen-solve is certified,
+# relative to ``lambda ||x||``
+EIGEN_TOL = 1e-8
+# iterations after which an uncertified eigen-solve raises: the slowest case
+# tested, a 9x31 box with extents 0.3 x 1.7, takes about 100
+EIGEN_MAX_ITERATIONS = 1000
+
+
 def stokes_eigenvalue(grid: Grid) -> float:
-    """Smallest eigenvalue of the discrete no-slip Stokes operator (2-D).
+    """Smallest eigenvalue of the discrete no-slip Stokes operator.
 
-    Every discretely divergence-free MAC field with zero normal wall flux is
-    the curl ``u = C psi`` of a nodal stream function with ``psi = 0`` on the
-    boundary nodes (``u_x = d psi/dy``, ``u_y = -d psi/dx``), whose flux-form
-    divergence vanishes identically.  The eigenvalue is therefore the
-    smallest ``lambda`` of the generalized SPD problem
-    ``C^T A C psi = lambda C^T C psi`` with ``A = -laplacian_noslip``.
+    ``lambda_1`` is the minimum of ``<u, A u> / <u, u>`` over the discretely
+    divergence-free face fields with zero wall flux, ``A = -laplacian_noslip``.
+    It is found by LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on the
+    run's own spectral core: the Helmholtz projection ``P`` keeps every
+    iterate divergence-free, and ``P (I + c A)^{-1} P`` (``diffusion_resolvent``
+    with ``c = 1/mu``, ``mu`` the smallest eigenvalue of ``A``: a shift below
+    ``lambda_1``) preconditions each residual into a search direction.  Each
+    step takes the lowest Rayleigh-Ritz pairs in the span of the block, its
+    preconditioned residuals and the previous step's directions.  The block
+    is a swirl and one seeded random field, so that every symmetry class is
+    excited and the result is deterministic; the start is preconditioned
+    twice, which smooths the random field.
 
-    Both sides are known in closed form: ``C^T C`` is the Dirichlet 5-point
-    ``-Lap`` on the interior nodes, diagonal in the sine basis (DST-I), and
-    ``C^T A C`` is its square plus ``2/h^4`` on the nodes next to each wall
-    (``-laplacian_noslip`` mirrors the tangential velocity oddly at the walls,
-    the square of the Dirichlet Laplacian evenly).  In the sine basis that
-    wall term only couples modes of equal parity along each axis, so the
-    problem splits into four dense blocks of a quarter of the unknowns each,
-    solved directly; the cost is cubic in the block size, so this suits the
-    verification grids (up to 64^2) rather than production ones.
-    The velocity energy of an unforced flow decays
-    asymptotically at twice this value.  Raises ``ValueError`` outside 2-D.
+    The projected residual ``||P A x - lambda x||`` of the lowest pair is the
+    certificate: the solve returns once it lies below ``EIGEN_TOL * lambda
+    ||x||``, and raises ``SolverFailure`` carrying it (relative to ``lambda
+    ||x||``) after ``EIGEN_MAX_ITERATIONS`` steps.  Any dimension; at its
+    peak the iteration holds about twenty velocity fields.  The velocity
+    energy of an unforced flow decays asymptotically at twice this value.
     """
-    if grid.dim != 2:
-        raise ValueError(f"stokes_eigenvalue is implemented in 2-D only, got dim={grid.dim}")
-    axes = []
-    for N, h in zip(grid.cells, grid.spacing):
-        k = np.arange(1, N)
-        # orthonormal sine mode k at the first interior node; at the last node
-        # it is (-1)^(k+1) times this, so the 2/h^4 of the two walls adds up
-        # to 4/h^4 between modes of equal parity and cancels otherwise
-        first = np.sqrt(2.0 / N) * np.sin(k * np.pi / N)
-        axes.append((k % 2, stencil_eigenvalues(N, h, k), first, 4.0 / h**4))
-    (px, lx, bx, wx), (py, ly, by, wy) = axes
-    lowest = np.inf
-    for kx in (0, 1):
-        for ky in (0, 1):
-            mx, my = px == kx, py == ky
-            nx, ny = int(mx.sum()), int(my.sum())
-            # C^T C (diagonal d) and C^T A C of this parity block, built in
-            # place as K[i, j, k, l] over mode pairs (i, j) and (k, l)
-            d = lx[mx][:, None] + ly[my][None, :]
-            K = np.zeros((nx, ny, nx, ny))
-            i, j = np.arange(nx), np.arange(ny)
-            K[i, :, i, :] += wy * np.outer(by[my], by[my])
-            K[:, j, :, j] += wx * np.outer(bx[mx], bx[mx])
-            K[i[:, None], j, i[:, None], j] += d * d
-            # symmetric standard form d^(-1/2) K d^(-1/2)
-            scale = 1.0 / np.sqrt(d)
-            K *= scale[:, :, None, None]
-            K *= scale
-            K = K.reshape(nx * ny, nx * ny)
-            lowest = min(lowest, np.linalg.eigvalsh(K)[0])
-    return float(lowest)
+    solver = PoissonSolver(grid)
+    shapes = [grid.face_shape(d) for d in range(grid.dim)]
+    ends = np.cumsum([int(np.prod(s)) for s in shapes])
+    parts = [(slice(end - int(np.prod(s)), end), s) for end, s in zip(ends, shapes)]
+    coef = 1.0 / sum(stencil_eigenvalues(N, h, 1) for N, h in zip(grid.cells, grid.spacing))
+
+    def flat(U, out=None):
+        return np.concatenate([c.ravel() for c in U.components], out=out)
+
+    def apply(op, X):
+        """``op`` on each row of ``X``, a block of flattened face fields."""
+        out = np.empty_like(X)
+        for x, y in zip(X, out):
+            flat(op(VectorField(grid, [x[part].reshape(s) for part, s in parts])), y)
+        return out
+
+    def project(X):
+        return apply(lambda U: helmholtz_project(U, solver), X)
+
+    def precondition(X):
+        return project(apply(lambda U: diffusion_resolvent(U, coef, solver), X))
+
+    def swirl(d, *x):
+        # the curl of sin^2 sin^2 in the first plane, times sin along the others
+        if d > 1:
+            return 0.0
+        L, e = grid.extents, 1 - d
+        out = np.sin(np.pi * x[d] / L[d]) ** 2 * np.sin(2 * np.pi * x[e] / L[e]) / L[e]
+        for a in range(2, grid.dim):
+            out = out * np.sin(np.pi * x[a] / L[a])
+        return out if d == 0 else -out
+
+    first = flat(VectorField.from_function(grid, swirl))
+    X = np.stack([first, np.random.default_rng(0).standard_normal(first.size)])
+    # the resolvent zeroes the random field's wall faces, the projection its divergence
+    X = precondition(precondition(X))
+    AX = -apply(laplacian_noslip, X)
+    D = AD = X[:0]
+    for iteration in range(EIGEN_MAX_ITERATIONS + 1):
+        lam = (X * AX).sum(axis=1) / (X * X).sum(axis=1)
+        R = project(AX)
+        for r, x, lam_x in zip(R, X, lam):
+            r -= lam_x * x
+        i = int(np.argmin(lam))
+        residual = float(np.linalg.norm(R[i]) / (lam[i] * np.linalg.norm(X[i])))
+        if residual <= EIGEN_TOL:
+            return float(lam[i])
+        if iteration == EIGEN_MAX_ITERATIONS:
+            raise SolverFailure(
+                f"Stokes eigen-solve not certified after {iteration} iterations", residual
+            )
+        W = precondition(R)
+        del R
+        AW = -apply(laplacian_noslip, W)
+        # Rayleigh-Ritz on span(X, W, D) from its Gram matrices alone: unit
+        # rows, then an orthonormal basis from the Gram matrix's eigenvectors
+        # without numerically dependent directions
+        rows = (X, W, D)
+        gram = np.block([[a @ b.T for b in rows] for a in rows])
+        stiff = np.block([[a @ b.T for b in (AX, AW, AD)] for a in rows])
+        scale = 1.0 / np.sqrt(np.diag(gram))
+        g, V = np.linalg.eigh(gram * np.outer(scale, scale))
+        keep = g > 1e-14 * g[-1]
+        B = scale[:, None] * V[:, keep] / np.sqrt(g[keep])
+        H = B.T @ stiff @ B
+        k = len(X)
+        CX, CW, CD = np.split(B @ np.linalg.eigh(0.5 * (H + H.T))[1][:, :k], [k, 2 * k])
+        # the new directions first, so that the old ones can go before X is formed
+        D, AD = CW.T @ W + CD.T @ D, CW.T @ AW + CD.T @ AD
+        del W, AW
+        X, AX = CX.T @ X + D, CX.T @ AX + AD
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,23 @@ __all__ = [
     "rotation_matrix",
     "eval_S_eps",
     "chemotactic_flux",
+    "POSITIVITY_SLACK",
+    "negative_beyond_slack",
 ]
 
 KINDS = ("scalar_saturating", "rotational")
+
+# how far below zero roundoff may take a density, relative to max(max n, 1);
+# every n >= 0 guard (the drift, ``step_n``, ``State.validate``) allows it
+POSITIVITY_SLACK = 1e-12
+
+
+def negative_beyond_slack(data: np.ndarray) -> bool:
+    """Whether ``data`` holds a value below ``-POSITIVITY_SLACK * max(max
+    data, 1)``: a density or concentration that lost positivity by more than
+    roundoff."""
+    low = float(data.min())
+    return low < 0.0 and low < -POSITIVITY_SLACK * max(float(data.max()), 1.0)
 
 
 @dataclass(frozen=True)
@@ -203,12 +217,15 @@ def _bound(spec: SensitivitySpec, n):
     return spec.C_S * (1.0 + np.asarray(n, dtype=np.float64)) ** (-spec.alpha)
 
 
-def eval_S_eps(spec: SensitivitySpec, reg: RegularizationParams, x, n: float, c: float, grid: Grid) -> np.ndarray:
-    """Full regularized tensor ``rho_eps(x) * S(x, n, c)`` at one point."""
-    if not (np.isfinite(n) and np.isfinite(c)):
-        raise ValueError("n and c must be finite")
-    if n < 0 or c < 0:
-        raise ValueError(f"n and c must be nonnegative, got n={n}, c={c}")
+def eval_S_eps(
+    spec: SensitivitySpec, reg: RegularizationParams, x, n: float, grid: Grid
+) -> np.ndarray:
+    """Full regularized tensor ``rho_eps(x) * S(x, n)`` at one point (no
+    kind depends on ``c``)."""
+    if not np.isfinite(n):
+        raise ValueError("n must be finite")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got n={n}")
     rho = cutoff_rho(x, grid, reg)
     bound = float(_bound(spec, n))
     if spec.kind == "scalar_saturating":
@@ -266,7 +283,7 @@ def _face_drift_components(
     g = n.grid
     if c.grid != g:
         raise ValueError("n and c live on different grids")
-    if n.data.min() < 0:
+    if negative_beyond_slack(n.data):
         raise ValueError("chemotactic flux requires n >= 0")
     if cutoff is None:
         cutoff = WallCutoff(g, reg)

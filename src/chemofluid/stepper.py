@@ -41,6 +41,7 @@ from .sensitivity import (
     SensitivitySpec,
     WallCutoff,
     _face_drift_components,
+    negative_beyond_slack,
 )
 from .transport import (
     PositivityError,
@@ -120,12 +121,10 @@ class State:
         self.n.check_finite("n")
         self.c.check_finite("c")
         self.u.check_finite("u")
-        nmin = float(self.n.data.min())
-        if nmin < -1e-12 * max(float(self.n.data.max()), 1.0):
-            raise PositivityError("state has negative n", nmin)
-        cmin = float(self.c.data.min())
-        if cmin < -1e-12 * max(float(self.c.data.max()), 1.0):
-            raise PositivityError("state has negative c", cmin)
+        if negative_beyond_slack(self.n.data):
+            raise PositivityError("state has negative n", float(self.n.data.min()))
+        if negative_beyond_slack(self.c.data):
+            raise PositivityError("state has negative c", float(self.c.data.min()))
 
 
 # The step-size controller of ``run``.  The next step is the last one times

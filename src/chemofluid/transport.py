@@ -29,6 +29,7 @@ from .sensitivity import (
     RegularizationParams,
     SensitivitySpec,
     _face_drift_components,
+    negative_beyond_slack,
 )
 
 __all__ = [
@@ -39,8 +40,6 @@ __all__ = [
     "DissipationRecord",
     "dissipation_integrals",
 ]
-
-POSITIVITY_SLACK = 1e-12
 
 
 class PositivityError(RuntimeError):
@@ -88,8 +87,7 @@ def step_n(
     intentionally breaks mass conservation.
     """
     g = n.grid
-    nmax = float(n.data.max(initial=0.0))
-    if float(n.data.min()) < -POSITIVITY_SLACK * max(nmax, 1.0):
+    if negative_beyond_slack(n.data):
         raise PositivityError("step_n received negative density", float(n.data.min()))
     if solver is None:
         solver = PoissonSolver(g)
@@ -112,10 +110,8 @@ def step_n(
     data = solver.neumann_resolvent(data, dt)
     out = ScalarField(g, data)
     out.check_finite("n")
-    if forcing is None:
-        mn = float(data.min())
-        if mn < -POSITIVITY_SLACK * max(float(data.max()), 1.0):
-            raise PositivityError("n lost positivity", mn)
+    if forcing is None and negative_beyond_slack(data):
+        raise PositivityError("n lost positivity", float(data.min()))
     return out
 
 

@@ -580,9 +580,11 @@ def mms_convergence(case: MmsCase, resolutions) -> ConvergenceReport:
     pair_orders = [
         float(np.log2(e0 / e1)) for e0, e1 in zip(errors, errors[1:])
     ]
+    # least-squares slope of log(error) against log(h), in closed form
     hs = np.log([1.0 / N for N in resolutions])
     es = np.log(errors)
-    lsq_order = float(np.polyfit(hs, es, 1)[0])
+    hs -= hs.mean()
+    lsq_order = float((hs * (es - es.mean())).sum() / (hs * hs).sum())
     monotone = all(e1 < e0 for e0, e1 in zip(errors, errors[1:]))
     return ConvergenceReport(
         case=case.name,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from chemofluid import diagnostics
 from chemofluid.diagnostics import (
     LyapunovConfig,
     LyapunovInfeasible,
@@ -24,12 +25,13 @@ from chemofluid.diagnostics import (
     stokes_eigenvalue,
     weak_residual,
 )
-from chemofluid.fluid import FluidParams, divergence_max, laplacian_noslip
+from chemofluid.fluid import FluidParams, SolverFailure, divergence_max, laplacian_noslip
 from chemofluid.grid import (
     ScalarField,
     VectorField,
     _axis_slices,
     _mirror_pad,
+    divergence_fc,
     gradient_cc,
     make_grid,
 )
@@ -89,7 +91,9 @@ class TestStokesEigenvalue:
         assert abs((4.0 * lam[1] - lam[0]) / 3.0 - 52.3447) <= 1e-3
 
     @pytest.mark.parametrize(
-        "extents, cells", [((1.0, 0.6), (12, 9)), ((1.0, 3.0), (5, 14))], ids=["12x9", "5x14"]
+        "extents, cells",
+        [((1.0, 0.6), (12, 9)), ((1.0, 3.0), (5, 14)), ((0.3, 1.7), (9, 31))],
+        ids=["12x9", "5x14", "9x31"],
     )
     def test_matches_mac_kernel_oracle(self, extents, cells):
         # oracle: the generalized problem assembled column by column from the
@@ -109,9 +113,43 @@ class TestStokesEigenvalue:
         oracle = scipy.linalg.eigh(C.T @ AC, C.T @ C, eigvals_only=True)[0]
         assert stokes_eigenvalue(g) == pytest.approx(oracle, rel=1e-12)
 
-    def test_three_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="2-D only"):
-            stokes_eigenvalue(make_grid(3, (1.0, 1.0, 1.0), (8, 8, 8)))
+    def test_matches_mac_kernel_oracle_3d(self):
+        # oracle: divergence_fc and -laplacian_noslip assembled column by
+        # column on the interior faces, restricted to an orthonormal basis of
+        # the divergence-free ones
+        g = make_grid(3, (1.0, 2.0, 0.5), (4, 5, 6))
+        shapes = [g.face_shape(d) for d in range(3)]
+        interior = []
+        for d, shape in enumerate(shapes):
+            mask = np.zeros(shape, dtype=bool)
+            mask[_axis_slices(d, 3).mid] = True
+            interior.append(mask.ravel())
+        interior = np.concatenate(interior)
+        ends = np.cumsum([np.prod(shape) for shape in shapes])[:-1]
+        divs, energies = [], []
+        for face in np.flatnonzero(interior):
+            unit = np.zeros(interior.size)
+            unit[face] = 1.0
+            U = VectorField(g, [c.reshape(shape) for c, shape in zip(np.split(unit, ends), shapes)])
+            divs.append(divergence_fc(U).data.ravel())
+            lap = laplacian_noslip(U)
+            energies.append(np.concatenate([-c.ravel() for c in lap.components])[interior])
+        Div, A = np.array(divs).T, np.array(energies).T
+        np.testing.assert_allclose(A, A.T, rtol=0, atol=1e-9 * np.abs(A).max())
+        Q = scipy.linalg.null_space(Div)
+        oracle = np.linalg.eigvalsh(Q.T @ A @ Q)[0]
+        assert oracle == pytest.approx(69.9638486038, rel=1e-10)
+        assert stokes_eigenvalue(g) == pytest.approx(oracle, rel=1e-10)
+
+    def test_three_dimensions_rise_under_refinement(self):
+        lam = [stokes_eigenvalue(make_grid(3, (1.0, 1.0, 1.0), (N,) * 3)) for N in (12, 16, 24)]
+        assert lam[0] < lam[1] < lam[2]
+
+    def test_uncertified_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "EIGEN_MAX_ITERATIONS", 2)
+        with pytest.raises(SolverFailure, match="not certified after 2 iterations") as info:
+            stokes_eigenvalue(make_grid(2, (1.0, 1.0), (16, 16)))
+        assert info.value.residual > diagnostics.EIGEN_TOL
 
 
 class TestLyapunovConfig:

@@ -335,6 +335,14 @@ class TestMmsRunner:
         assert conv.monotone
         assert 1.7 <= conv.lsq_order <= 2.3
 
+    @pytest.mark.parametrize("name", ["diffusion_only", "coupled"])
+    def test_order_is_the_least_squares_slope(self, name):
+        # exact_steady, the third case, sits at roundoff and reports no order
+        resolutions = [8, 12, 16]
+        conv = mms_convergence(mms_cases()[name], resolutions)
+        hs = np.log([1.0 / N for N in resolutions])
+        assert conv.lsq_order == pytest.approx(np.polyfit(hs, np.log(conv.errors), 1)[0], rel=1e-12)
+
     def test_exact_steady_reports_roundoff(self):
         conv = mms_convergence(mms_cases()["exact_steady"], [8, 16, 32])
         assert max(conv.errors) <= 1e-12
