@@ -182,6 +182,8 @@ def parse_config(text: str) -> RunConfig:
     for key in ("snapshot_every", "max_steps"):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"line {line_of('run', key)}: {key} must be >= 0 (0 = off)")
+    if cfg.seed < 0:
+        raise ConfigError(f"line {line_of('run', 'seed')}: seed must be >= 0, got {cfg.seed}")
 
     # the [grid] keys in turn, so that an error cites its own key's line
     def grid_error(key, message):
@@ -482,11 +484,17 @@ def _cmd_mms(args) -> int:
     return 0 if ok else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
 def main(argv=None) -> int:
@@ -499,10 +507,10 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute one trajectory from a config file")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=_int_at_least(0), default=None)
     p_run.add_argument(
         "--threads",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=1,
         help=f"threads per pocketfft transform on axes longer than {DENSE_MAX} cells; shorter "
         "axes are matrix products and use none (results are identical for any count)",
@@ -511,7 +519,7 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", default="all", choices=sorted(verify.SUITES) + ["all"])
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_int_at_least(0), default=0)
     p_ver.add_argument(
         "--cells",
         type=lambda s: [int(v) for v in s.split(",")],

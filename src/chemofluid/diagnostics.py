@@ -44,6 +44,7 @@ from .grid import (
     faces_to_cells,
     gradient_cc,
 )
+from .seeded import NormalStream
 from .sensitivity import f_eps, rho_on_cells, rotation_matrix
 
 __all__ = [
@@ -412,7 +413,8 @@ def stokes_eigenvalue(grid: Grid) -> float:
         return out if d == 0 else -out
 
     first = flat(VectorField.from_function(grid, swirl))
-    X = np.stack([first, np.random.default_rng(0).standard_normal(first.size)])
+    rng = NormalStream(0)
+    X = np.stack([first, [rng.standard_normal() for _ in range(first.size)]])
     # the resolvent zeroes the random field's wall faces, the projection its divergence
     X = precondition(precondition(X))
     AX = -apply(laplacian_noslip, X)

@@ -75,6 +75,7 @@ class TestParseConfig:
             ("T = 1", "T = 1\ncsv_every = 0", "line 7: csv_every must be >= 1"),
             ("T = 1", "T = 1\nsnapshot_every = -1", "line 7: snapshot_every must be >= 0"),
             ("T = 1", "T = 1\nmax_steps = -3", "line 7: max_steps must be >= 0"),
+            ("T = 1", "T = 1\nseed = -3", "line 7: seed must be >= 0, got -3"),
         ],
     )
     def test_out_of_range_value_cites_its_own_line(self, old, new, message):
@@ -223,6 +224,17 @@ class TestRunCommand:
             main(["run", "--config", "unread.cfg", "--threads", threads])
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", self._write_cfg(tmp_path), "--seed", "-5"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -5" in capsys.readouterr().err
+
+    def test_negative_seed_in_the_config_exits_2(self, tmp_path, capsys):
+        body = MINIMAL.replace("scenario = bump_n", "scenario = random_perturbation\nseed = -3")
+        assert main(["run", "--config", self._write_cfg(tmp_path, body)]) == 2
+        assert capsys.readouterr().err == "config error: line 10: seed must be >= 0, got -3\n"
 
     def test_snapshots_written(self, tmp_path):
         body = MINIMAL.replace("scenario = bump_n", "scenario = bump_n\nsnapshot_every = 10")
@@ -437,6 +449,12 @@ class TestVerifyCommand:
             main(["verify", "--threads", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "stabilization", "--cells", "8,8", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_ladder_suite_small_grid(self, capsys):
         rc = main(["verify", "--suite", "ladder", "--cells", "16,16"])

@@ -8,6 +8,7 @@ import pytest
 
 from chemofluid.grid import ScalarField, VectorField, make_grid
 from chemofluid.manufactured import mms_cases, sample_exact_state
+from chemofluid.seeded import NormalStream
 from chemofluid.verify import default_phi, random_smooth_field, scenario_library, swirl_velocity
 
 GRIDS = {
@@ -103,6 +104,15 @@ def test_random_smooth_field_draws_as_many_numbers(grid):
     rng_new, rng_old = np.random.default_rng(7), np.random.default_rng(7)
     random_smooth_field(grid, rng_new, 1.0)
     old_random_smooth_field(grid, rng_old, 1.0)
+    assert rng_new.standard_normal() == rng_old.standard_normal()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_smooth_field_from_the_package_stream_matches_numpy(grid, seed):
+    # the scenarios draw from NormalStream; numpy's Generator is the oracle
+    rng_new, rng_old = NormalStream(seed), np.random.default_rng(seed)
+    new = random_smooth_field(grid, rng_new, 0.3)
+    assert_same_bits(new.data, random_smooth_field(grid, rng_old, 0.3).data)
     assert rng_new.standard_normal() == rng_old.standard_normal()
 
 

@@ -333,6 +333,11 @@ class TestPocketfftKernels:
         code = (
             "import sys, numpy as np, chemofluid, chemofluid.cli; "
             "print(*(m in sys.modules for m in ('scipy.fft', 'scipy.special', 'numpy.random'))); "
+            # the seeded scenarios and the Stokes eigenvalue's start draw without numpy.random
+            "lib2, lib3 = chemofluid.scenario_library((8, 8)), chemofluid.scenario_library((6, 6, 6)); "
+            "lib2['random_perturbation'].build(0); lib3['random_perturbation'].build(0); "
+            "chemofluid.stokes_eigenvalue(chemofluid.make_grid(2, (1.0, 1.0), (8, 8))); "
+            "print('numpy.random' in sys.modules); "
             # scipy.fft still imports, and works, after the binding was loaded
             "import scipy.fft; x = np.arange(5.0); "
             "print(np.array_equal(scipy.fft.dct(x, norm='ortho'), "
@@ -343,8 +348,7 @@ class TestPocketfftKernels:
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        # numpy.random is loaded with the package, so a seeded set-up imports nothing
-        assert out.stdout.split() == ["False", "False", "True", "True"]
+        assert out.stdout.split() == ["False", "False", "False", "False", "True"]
 
     def test_every_call_is_covered(self):
         used = {
