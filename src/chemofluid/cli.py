@@ -233,7 +233,7 @@ def _build_run(cfg: RunConfig):
         raise ConfigError(
             f"unknown scenario {cfg.scenario!r}; built-ins: {sorted(lib)}"
         )
-    _, initial = lib[cfg.scenario].build(cfg.seed)
+    initial = lib[cfg.scenario].initial(cfg.seed)
     phi = default_phi(grid, cfg.phi_strength) if cfg.phi_strength != 0 else None
     params = SimParams(
         grid=grid,

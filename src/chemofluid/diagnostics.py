@@ -216,12 +216,7 @@ def transient_end_time(series: DiagnosticsSeries):
     return float(series.t[idx[0]]) if idx.size else None
 
 
-def budget_check_series(
-    series: DiagnosticsSeries,
-    cfg: LyapunovConfig,
-    tol_disc: float,
-    t_start: float = 0.0,
-):
+def budget_check_series(series: DiagnosticsSeries, cfg: LyapunovConfig, tol_disc: float):
     """Fraction of recorded steps whose secant of L keeps the bound + ``tol_disc``.
 
     The secant is ``(L_{k+1} - L_k)/dt_k`` and the bound
@@ -229,13 +224,12 @@ def budget_check_series(
     the recorded deviation and gradient columns of row ``k+1``: backward
     Euler's diffusion obeys the discrete energy inequality
     ``<y_{k+1} - y_k, y_{k+1}> >= (||y_{k+1}||^2 - ||y_k||^2)/2``, so its
-    dissipation is that of the new state.  Steps starting before ``t_start``
-    are skipped.  Returns ``(fraction_ok, checked_steps, worst_gap)``, the
-    last the largest ``secant - bound`` over the checked steps (nan if none).
+    dissipation is that of the new state.  Every step is checked, from t = 0.
+    Returns ``(fraction_ok, checked_steps, worst_gap)``, the last the largest
+    ``secant - bound`` over the checked steps (nan if none).
     """
-    t = series.t
-    dt = np.diff(t)
-    keep = (t[:-1] >= t_start) & (dt > 0)
+    dt = np.diff(series.t)
+    keep = dt > 0
     secant = np.diff(series.lyapunov)[keep] / dt[keep]
     bound = (-cfg.a1 * series.l2_n_dev[1:] - cfg.a2 * series.D_c[1:])[keep]
     total = int(secant.size)

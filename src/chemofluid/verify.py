@@ -160,19 +160,22 @@ class Scenario:
 
     name: str
     description: str
-    build: object  # (seed) -> (SimParams, State)
+    build: object  # (seed, **overrides) -> (SimParams, State)
     assertions: list = field(default_factory=list)  # [(name, fn(traj) -> AssertionResult)]
+    initial: object = None  # (seed) -> State: the build's state, without its parameters
 
 
 def _base_params(
     grid: Grid,
     C_S: float,
-    kappa: float,
-    eps: float,
     T: float,
+    kappa: float = 1.0,
+    eps: float = 0.1,
     theta: float = 0.0,
     max_steps=None,
+    sigma: float = 0.4,
 ) -> SimParams:
+    """The model's scalars as ``SimParams``; ``theta != 0`` turns the drift."""
     kind = "rotational" if theta != 0.0 else "scalar_saturating"
     return SimParams(
         grid=grid,
@@ -180,6 +183,7 @@ def _base_params(
         regularization=RegularizationParams(eps=eps),
         fluid=FluidParams(kappa=kappa, eps=eps, phi=default_phi(grid)),
         T=T,
+        cfl_sigma=sigma,
         max_steps=max_steps,
     )
 
@@ -263,6 +267,19 @@ def _assert_positive(traj: Trajectory) -> AssertionResult:
     )
 
 
+def _assert_u_decay(traj: Trajectory) -> AssertionResult:
+    t, e = traj.series.t, traj.series.l2_u
+    mask = e > 1e-280
+    fit = fit_decay_rate(t[mask], e[mask], window=(t[mask][0] + 0.02, t[mask][-1]))
+    ok = fit.rate > 0 and fit.r_squared >= 0.99
+    return AssertionResult(
+        "u_energy_exponential",
+        "pass" if ok else "fail",
+        f"rate {fit.rate:.4g}, r^2 {fit.r_squared:.6f}",
+        "column l2_u",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Scenario library
 # ---------------------------------------------------------------------------
@@ -271,140 +288,72 @@ def _assert_positive(traj: Trajectory) -> AssertionResult:
 def scenario_library(cells=(64, 64), grid: Grid = None) -> dict:
     """Built-in scenarios on ``grid``, by default the unit square or cube
     with ``cells`` (configurable for speed).  Every recipe is
-    dimension-generic."""
+    dimension-generic, and every ``build(seed, **overrides)`` takes the same
+    overrides of its parameter defaults: ``T``, ``max_steps``, ``C_S`` and
+    ``sigma``."""
     if grid is None:
         grid = make_grid(len(cells), (1.0,) * len(cells), cells)
-    C_N = poincare_constant(grid)
-    lib = {}
+    small_C_S = float(np.sqrt(poincare_constant(grid)))
 
-    def steady_build(seed):
-        params = _base_params(grid, C_S=0.5, kappa=1.0, eps=0.1, T=0.02)
-        return params, State.homogeneous(grid, 1.0)
+    # (n, c) recipes from the seed
+    def flat(seed):
+        return ScalarField.full(grid, 1.0), ScalarField.full(grid, 1.0)
 
-    lib["steady_state"] = Scenario(
-        "steady_state",
-        "homogeneous fixed point stays put",
-        steady_build,
-        [("diagnostics_constant", _assert_series_constant), ("completed", _assert_positive)],
-    )
+    def bump(seed):
+        return bump_field(grid, 1.0, 0.5), ScalarField.full(grid, 0.5)
 
-    def bump_build(seed, T=0.25, max_steps=None):
-        params = _base_params(grid, C_S=0.5, kappa=1.0, eps=0.1, T=T, max_steps=max_steps)
-        initial = State(
-            t=0.0,
-            n=bump_field(grid, 1.0, 0.5),
-            c=ScalarField.full(grid, 0.5),
-            u=VectorField.zeros(grid),
-            P=ScalarField.zeros(grid),
-        )
-        return params, initial
-
-    lib["bump_n"] = Scenario(
-        "bump_n",
-        "localized density bump; conservation workhorse",
-        bump_build,
-        [
-            ("mass", _assert_mass_conserved),
-            ("c_bound", _assert_c_mass_bound),
-            ("completed", _assert_positive),
-        ],
-    )
-
-    def perturb_build(seed, T=0.75, C_S=None):
-        C_S = float(np.sqrt(C_N)) if C_S is None else C_S
-        params = _base_params(grid, C_S=C_S, kappa=1.0, eps=0.1, T=T)
+    def perturbed(seed):
         rng = NormalStream(seed)
-        n0 = ScalarField(grid, 1.0 + random_smooth_field(grid, rng, 0.3).data)
-        c0 = ScalarField(grid, 1.0 + random_smooth_field(grid, rng, 0.3).data)
-        u0 = swirl_velocity(grid, 0.1)
-        return params, State(t=0.0, n=n0, c=c0, u=u0, P=ScalarField.zeros(grid))
+        return tuple(ScalarField(grid, 1.0 + random_smooth_field(grid, rng, 0.3).data) for _ in "nc")
 
-    lib["random_perturbation"] = Scenario(
-        "random_perturbation",
-        "smooth random perturbation under the smallness condition",
-        perturb_build,
-        [
-            ("mass", _assert_mass_conserved),
-            ("c_bound", _assert_c_mass_bound),
-            ("lyapunov_monotone", _assert_lyapunov_monotone),
-            ("completed", _assert_positive),
-        ],
-    )
+    conserved = [("mass", _assert_mass_conserved), ("c_bound", _assert_c_mass_bound)]
+    completed = ("completed", _assert_positive)
+    # name: (description, (n, c) recipe, swirl amplitude of u, parameter defaults, assertions)
+    table = {
+        "steady_state": (
+            "homogeneous fixed point stays put",
+            flat, 0.0, dict(C_S=0.5, T=0.02),
+            [("diagnostics_constant", _assert_series_constant), completed],
+        ),
+        "bump_n": (
+            "localized density bump; conservation workhorse",
+            bump, 0.0, dict(C_S=0.5, T=0.25),
+            conserved + [completed],
+        ),
+        "random_perturbation": (
+            "smooth random perturbation under the smallness condition",
+            perturbed, 0.1, dict(C_S=small_C_S, T=0.75),
+            conserved + [("lyapunov_monotone", _assert_lyapunov_monotone), completed],
+        ),
+        "rotational_flux": (
+            "quarter-turn drift tensor; monotonicity reported, not asserted",
+            perturbed, 0.0, dict(C_S=small_C_S, T=0.3, theta=np.pi / 2),
+            conserved + [("lyapunov_trend", _report_lyapunov_trend), completed],
+        ),
+        "convection_on": (
+            "kappa = 1 with an initial swirl",
+            bump, 0.2, dict(C_S=0.5, T=0.1),
+            [("mass", _assert_mass_conserved), completed],
+        ),
+        "swirl": (
+            "pure velocity decay from a stream-function swirl",
+            flat, 0.1, dict(C_S=0.5, T=0.12, kappa=0.0),
+            [("u_decay", _assert_u_decay), completed],
+        ),
+    }
 
-    def rotational_build(seed):
-        params = _base_params(
-            grid, C_S=float(np.sqrt(C_N)), kappa=1.0, eps=0.1, T=0.3, theta=np.pi / 2
-        )
-        rng = NormalStream(seed)
-        n0 = ScalarField(grid, 1.0 + random_smooth_field(grid, rng, 0.3).data)
-        c0 = ScalarField(grid, 1.0 + random_smooth_field(grid, rng, 0.3).data)
-        return params, State(
-            t=0.0, n=n0, c=c0, u=VectorField.zeros(grid), P=ScalarField.zeros(grid)
-        )
+    def scenario(name, description, recipe, swirl, defaults, assertions):
+        def initial(seed):
+            n, c = recipe(seed)
+            u = swirl_velocity(grid, swirl) if swirl else VectorField.zeros(grid)
+            return State(t=0.0, n=n, c=c, u=u, P=ScalarField.zeros(grid))
 
-    lib["rotational_flux"] = Scenario(
-        "rotational_flux",
-        "quarter-turn drift tensor; monotonicity reported, not asserted",
-        rotational_build,
-        [
-            ("mass", _assert_mass_conserved),
-            ("c_bound", _assert_c_mass_bound),
-            ("lyapunov_trend", _report_lyapunov_trend),
-            ("completed", _assert_positive),
-        ],
-    )
+        def build(seed, **overrides):
+            return _base_params(grid, **{**defaults, **overrides}), initial(seed)
 
-    def convection_build(seed):
-        params = _base_params(grid, C_S=0.5, kappa=1.0, eps=0.1, T=0.1)
-        _, initial = bump_build(seed, T=0.1)
-        initial = State(
-            t=0.0,
-            n=initial.n,
-            c=initial.c,
-            u=swirl_velocity(grid, 0.2),
-            P=ScalarField.zeros(grid),
-        )
-        return params, initial
+        return Scenario(name, description, build, assertions, initial)
 
-    lib["convection_on"] = Scenario(
-        "convection_on",
-        "kappa = 1 with an initial swirl",
-        convection_build,
-        [("mass", _assert_mass_conserved), ("completed", _assert_positive)],
-    )
-
-    def swirl_build(seed, T=0.12, sigma=0.4):
-        params = _base_params(grid, C_S=0.5, kappa=0.0, eps=0.1, T=T)
-        params = dataclasses.replace(params, cfl_sigma=sigma)
-        initial = State(
-            t=0.0,
-            n=ScalarField.full(grid, 1.0),
-            c=ScalarField.full(grid, 1.0),
-            u=swirl_velocity(grid, 0.1),
-            P=ScalarField.zeros(grid),
-        )
-        return params, initial
-
-    def swirl_rate_assert(traj: Trajectory) -> AssertionResult:
-        t, e = traj.series.t, traj.series.l2_u
-        mask = e > 1e-280
-        fit = fit_decay_rate(t[mask], e[mask], window=(t[mask][0] + 0.02, t[mask][-1]))
-        ok = fit.rate > 0 and fit.r_squared >= 0.99
-        return AssertionResult(
-            "u_energy_exponential",
-            "pass" if ok else "fail",
-            f"rate {fit.rate:.4g}, r^2 {fit.r_squared:.6f}",
-            "column l2_u",
-        )
-
-    lib["swirl"] = Scenario(
-        "swirl",
-        "pure velocity decay from a stream-function swirl",
-        swirl_build,
-        [("u_decay", swirl_rate_assert), ("completed", _assert_positive)],
-    )
-
-    return lib
+    return {name: scenario(name, *row) for name, row in table.items()}
 
 
 def run_scenario(scenario: Scenario, seed: int = 0) -> VerdictReport:
@@ -560,6 +509,8 @@ def mms_convergence(case: MmsCase, resolutions) -> ConvergenceReport:
     resolutions = list(resolutions)
     if len(resolutions) < 3:
         raise ValueError("need at least 3 resolutions for an order estimate")
+    if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
+        raise ValueError(f"resolutions must strictly increase, got {resolutions}")
     errors = []
     for N in resolutions:
         params = dataclasses.replace(case.make_params(N), diagnostics_every=ENDS_ONLY)
@@ -652,12 +603,9 @@ def _shared_run(shared: dict, lib: dict, name: str, seed: int) -> VerdictReport:
 
 
 def _suite_conservation(cells, seed, shared):
-    lib = scenario_library(cells)
-    sc = lib["bump_n"]
-    sc = dataclasses.replace(
-        sc, build=lambda s: lib["bump_n"].build(s, T=1e9, max_steps=10_000)
-    )
-    return [run_scenario(sc, seed=seed)]
+    sc = scenario_library(cells)["bump_n"]
+    build = functools.partial(sc.build, T=1e9, max_steps=10_000)
+    return [run_scenario(dataclasses.replace(sc, build=build), seed=seed)]
 
 
 def _suite_lyapunov(cells, seed, shared):
@@ -666,11 +614,9 @@ def _suite_lyapunov(cells, seed, shared):
     traj = report.trajectory
     cfg = traj.lyapunov_config
     if isinstance(cfg, LyapunovConfig):
-        params, initial = lib["random_perturbation"].build(seed)
-        tol_disc = calibrate_tol_disc(params, initial)
-        t0 = transient_end_time(traj.series) or traj.series.t[0]
-        frac, total, worst = budget_check_series(traj.series, cfg, tol_disc, t_start=t0)
-        ok = frac >= 0.99
+        tol_disc = calibrate_tol_disc(traj.params, lib["random_perturbation"].initial(seed))
+        frac, total, worst = budget_check_series(traj.series, cfg, tol_disc)
+        ok = frac == 1.0
         report.results.append(
             AssertionResult(
                 "dissipation_budget",
@@ -697,11 +643,9 @@ def _suite_lyapunov(cells, seed, shared):
 
 def _infeasible_build(cells, seed):
     grid = make_grid(len(cells), (1.0,) * len(cells), cells)
-    C_N = poincare_constant(grid)
     # the boundary of the smallness condition C_S < 2 sqrt(lambda_1) = 2/sqrt(C_N)
-    params = _base_params(grid, C_S=2.0 / float(np.sqrt(C_N)), kappa=1.0, eps=0.1, T=0.02)
-    rng = NormalStream(seed)
-    n0 = ScalarField(grid, 1.0 + random_smooth_field(grid, rng, 0.2).data)
+    params = _base_params(grid, C_S=2.0 / float(np.sqrt(poincare_constant(grid))), T=0.02)
+    n0 = ScalarField(grid, 1.0 + random_smooth_field(grid, NormalStream(seed), 0.2).data)
     return params, State(
         t=0.0, n=n0, c=ScalarField.full(grid, 1.0), u=VectorField.zeros(grid), P=ScalarField.zeros(grid)
     )

@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chemofluid import fluid, stepper
+from chemofluid import fluid, stepper, verify
 from chemofluid.cli import (
     _SCHEMA,
     ConfigError,
     RunConfig,
+    _build_run,
     _parse_csv,
     main,
     parse_config,
@@ -306,6 +307,7 @@ class TestRunCommand:
             (["verify", "--cells", "2,2"], "at least 4 cells"),
             (["mms", "--case", "bogus"], "unknown case 'bogus'"),
             (["mms", "--resolutions", "8,12"], "at least 3 resolutions"),
+            (["mms", "--resolutions", "8,12,8"], "resolutions must strictly increase"),
             (["run", "--config", "{tmp}/missing.cfg"], "cannot read"),
             (["rates", "--csv", "{tmp}/missing.csv"], "cannot read"),
             (["rates", "--csv", "{tmp}/header_only.csv"], "missing column(s) lyapunov"),
@@ -322,6 +324,7 @@ class TestRunCommand:
             "verify-cells2",
             "mms-bogus-case",
             "mms-two-resolutions",
+            "mms-not-refining",
             "run-missing-config",
             "rates-missing-csv",
             "rates-header-only",
@@ -388,6 +391,23 @@ class TestRunCommand:
         assert len(data["t"]) > 2 and data["t"][-1] == pytest.approx(0.004)
         mass = data["mass_n"]
         assert np.abs(mass - mass[0]).max() <= 1e-14 * mass[0]
+
+    @pytest.mark.parametrize("name", sorted(verify.scenario_library((8, 8))))
+    def test_scenario_supplies_only_the_initial_state(self, monkeypatch, name):
+        """The config sets the model; the scenario's parameters are never built."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run built a scenario's parameters")
+
+        monkeypatch.setattr(verify, "_base_params", refuse)
+        cfg = parse_config(MINIMAL.replace("bump_n", name) + "seed = 2\n\n[model]\ncs = 0.3\n")
+        params, initial = _build_run(cfg)
+        assert (params.sensitivity.C_S, params.T) == (0.3, 0.004)
+        expected = verify.scenario_library((24, 24))[name].initial(2)
+        def arrays(state):
+            return [a.tobytes() for a in (state.n.data, state.c.data, state.P.data, *state.u.components)]
+
+        assert arrays(initial) == arrays(expected)
 
 
 class TestPoincareCommand:

@@ -175,6 +175,10 @@ def test_scenario_initial_fields_are_independent_and_writable(cells):
     assert lib
     for name, scenario in lib.items():
         params, state = scenario.build(0)
+        for seed in (0, 1):
+            built = initial_arrays(scenario.build(seed)[1])
+            for label, arr in initial_arrays(scenario.initial(seed)).items():
+                assert_same_bits(arr, built[label])
         arrays = initial_arrays(state)
         if params.fluid.phi is not None:
             arrays["phi"] = params.fluid.phi.data

@@ -13,7 +13,6 @@ from chemofluid.diagnostics import (
     lyapunov,
     make_lyapunov_config,
     poincare_constant,
-    transient_end_time,
 )
 from chemofluid.grid import make_grid
 from chemofluid.manufactured import mms_cases
@@ -58,6 +57,34 @@ class TestScenarios:
             "swirl",
         ):
             assert name in lib
+
+    # name: (kind, C_S, theta, kappa, eps, T, cfl_sigma, max_steps); "small"
+    # stands for C_S = sqrt(C_N), inside the smallness condition
+    DEFAULTS = {
+        "steady_state": ("scalar_saturating", 0.5, 0.0, 1.0, 0.1, 0.02, 0.4, None),
+        "bump_n": ("scalar_saturating", 0.5, 0.0, 1.0, 0.1, 0.25, 0.4, None),
+        "random_perturbation": ("scalar_saturating", "small", 0.0, 1.0, 0.1, 0.75, 0.4, None),
+        "rotational_flux": ("rotational", "small", np.pi / 2, 1.0, 0.1, 0.3, 0.4, None),
+        "convection_on": ("scalar_saturating", 0.5, 0.0, 1.0, 0.1, 0.1, 0.4, None),
+        "swirl": ("scalar_saturating", 0.5, 0.0, 0.0, 0.1, 0.12, 0.4, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEFAULTS))
+    def test_default_parameters(self, lib, name):
+        p, _ = lib[name].build(0)
+        small = float(np.sqrt(poincare_constant(p.grid)))
+        expected = tuple(small if v == "small" else v for v in self.DEFAULTS[name])
+        got = (
+            p.sensitivity.kind, p.sensitivity.C_S, p.sensitivity.theta, p.fluid.kappa,
+            p.fluid.eps, p.T, p.cfl_sigma, p.max_steps,
+        )
+        assert got == expected
+        assert p.regularization.eps == p.fluid.eps
+
+    @pytest.mark.parametrize("name", sorted(DEFAULTS))
+    def test_every_scenario_takes_the_same_overrides(self, lib, name):
+        p, _ = lib[name].build(0, T=0.5, max_steps=7, C_S=0.3, sigma=0.2)
+        assert (p.T, p.max_steps, p.sensitivity.C_S, p.cfl_sigma) == (0.5, 7, 0.3, 0.2)
 
     def test_bump_scenario_passes(self, lib):
         sc = lib["bump_n"]
@@ -195,7 +222,8 @@ class TestToleranceCalibration:
     @pytest.mark.parametrize("scale", [1.0, 0.5, 0.1])
     def test_budget_fails_a_weak_c_diffusion(self, monkeypatch, scale):
         """Scaling step_c's resolvent coefficient to 50% or 10% of dt breaks
-        the budget on post-transient steps; the honest scheme keeps all."""
+        the budget on some steps; the honest scheme keeps every step from
+        t = 0."""
         honest = stepper_mod.step_c
 
         def step_c(c, n, u, dt, forcing=None, t=0.0, solver=None):
@@ -205,9 +233,8 @@ class TestToleranceCalibration:
         params, initial = scenario_library((16, 16))["random_perturbation"].build(0)
         traj = run(params, initial)
         assert traj.completed, traj.error
-        t0 = transient_end_time(traj.series)
         frac, total, worst = budget_check_series(
-            traj.series, traj.lyapunov_config, calibrate_tol_disc(params, initial), t_start=t0
+            traj.series, traj.lyapunov_config, calibrate_tol_disc(params, initial)
         )
         assert total >= 200
         if scale == 1.0:
@@ -329,6 +356,13 @@ class TestMmsRunner:
     def test_needs_three_resolutions(self):
         with pytest.raises(ValueError):
             mms_convergence(mms_cases()["diffusion_only"], [8, 16])
+
+    @pytest.mark.parametrize("resolutions", [[8, 8, 8], [8, 12, 8]], ids=["repeated", "coarsened"])
+    def test_resolutions_must_refine(self, monkeypatch, resolutions):
+        rows = _recording_runs(monkeypatch)
+        with pytest.raises(ValueError, match="strictly increase"):
+            mms_convergence(mms_cases()["diffusion_only"], resolutions)
+        assert rows == []  # refused before any run
 
     def test_diffusion_small_smoke_second_order(self):
         conv = mms_convergence(mms_cases()["diffusion_only"], [8, 16, 32])
