@@ -3,11 +3,14 @@
 The velocity update is a Chorin-style split: explicit convection, buoyancy
 and forcing produce a tentative field, a backward-Euler viscous solve
 ``(I - dt*Lap)^{-1}`` smooths it, and a discrete Helmholtz projection returns
-it to the divergence-free subspace.  Because the projection subtracts
-``gradient_cc`` of a pressure potential and the divergence is taken by the
-same flux-form operator, the post-projection divergence is controlled
-directly by the Poisson residual.  The pressure Poisson problem is solved
-directly in cosine modes and certified by one residual check.
+it to the divergence-free subspace.  Because the projection subtracts the
+face components of ``gradient_cc`` of a pressure potential and the
+divergence is taken by the same flux-form operator, the post-projection
+divergence is controlled directly by the Poisson residual.  The pressure
+Poisson problem is solved directly in cosine modes and certified by one
+residual check, ``laplacian_neumann``: the bits of that divergence of that
+gradient, with no face pair formed.  The projection then forms the gradient
+one face component at a time.
 
 Every linear solve here is diagonal in one spectral core, ``PoissonSolver``:
 the zero-flux cell Laplacian in cosine modes, the no-slip componentwise
@@ -44,13 +47,12 @@ from .grid import (
     VectorField,
     _abs_max,
     _axis_slices,
-    _mirror_pad,
     _zero_walls,
     cells_to_faces,
     divergence_fc,
     face_component_at_faces,
-    gradient_cc,
     gradient_component,
+    laplacian_neumann,
     vector_l2_sq,
 )
 
@@ -241,13 +243,15 @@ class PoissonSolver:
     field-sized scratch buffer and one basis per axis and operator, and
     applies the zero-flux resolvent itself (``neumann_resolvent``).  Every
     call forms its spectral table (``1/lambda`` for a solve, ``1 + coef *
-    lambda`` for a resolvent) from the 1-D tables into that buffer, and every
-    per-call result is a return value: after ``__init__`` no attribute is
-    written.  Every transform goes through ``transform``: an axis of at most
-    ``DENSE_MAX`` cells is a product with the basis's orthonormal matrix
-    (``dense_basis``), a longer one a call of pocketfft's kernel (one ``dct``
-    over the long axes for cells, one ``dst`` per long axis for faces) with
-    ``workers`` threads.  The thread count never changes a result.
+    lambda`` for a resolvent) from the 1-D tables into that buffer; once a
+    solve has applied its table, the buffer holds its certificate's
+    second-axis term.  Every per-call result is a return value: after
+    ``__init__`` no attribute is written.  Every transform goes through
+    ``transform``: an axis of at most ``DENSE_MAX`` cells is a product with
+    the basis's orthonormal matrix (``dense_basis``), a longer one a call of
+    pocketfft's kernel (one ``dct`` over the long axes for cells, one ``dst``
+    per long axis for faces) with ``workers`` threads.  The thread count
+    never changes a result.
     """
 
     last_iterations = 0
@@ -327,43 +331,47 @@ class PoissonSolver:
         return x
 
     def solve(self, b: np.ndarray, abs_target: float = None):
-        """``(q, gradient_cc(q), residual)`` with ``Lap q = b`` (mean-zero),
-        raising if uncertified.
+        """``(q, residual)`` with ``Lap q = b`` (mean-zero), raising if
+        uncertified.
 
         The residual must lie below ``SOLVE_TOL * ||b - mean(b)||`` and, when
         ``abs_target`` is given, below that absolute level as well (the
         projection uses it to pin the post-projection divergence); neither
         threshold goes below the roundoff floor ``8 eps lambda_max ||q||``.
-        The residual applies ``laplacian_neumann`` as its two halves,
-        ``divergence_fc(gradient_cc(q))``, and that gradient is returned for a
-        projection to subtract; ``residual`` is relative to
-        ``||b - mean(b)||`` (0 for a constant ``b``).  ``b`` is only read; the
-        solve drops its reference once ``mean(b) - b`` is formed, so a ``b``
-        the caller holds no reference to is freed there.
+        The residual applies ``laplacian_neumann``, the bits of
+        ``divergence_fc(gradient_cc(q))`` with no face pair formed, its
+        second-axis term in the scratch buffer the spectral table has left;
+        ``residual`` is relative to ``||b - mean(b)||`` (0 for a constant
+        ``b``).  ``b`` is only read; the solve drops its reference once
+        ``mean(b) - b`` is formed, so a ``b`` the caller holds no reference to
+        is freed there.
         """
         b = np.asarray(b, dtype=np.float64)
         rhs = b.mean() - b  # -Lap q = rhs
         del b
         rhs_norm = float(np.sqrt((rhs * rhs).sum()))
         if rhs_norm == 0.0:
-            q = np.zeros_like(rhs)
-            return q, gradient_cc(ScalarField(self.grid, q)), 0.0
+            return np.zeros_like(rhs), 0.0
         target = SOLVE_TOL * rhs_norm
         if abs_target is not None:
             target = min(target, abs_target)
         spec = self.transform(rhs)
         spec *= self._inverse_eigenvalues()
         q = self.transform(spec, inverse=True, overwrite=True)
+        del spec
         q -= q.mean()
-        grad_q = gradient_cc(ScalarField(self.grid, q))
-        r = divergence_fc(grad_q).data
+        _, scratch = self._spectra[None]  # free again: 1/lambda is consumed
+        r = laplacian_neumann(ScalarField(self.grid, q), term=scratch).data
         r += rhs
-        res = float(np.sqrt((r * r).sum()))
+        del rhs
+        r *= r  # the bits of (r * r).sum(), without its array
+        res = float(np.sqrt(r.sum()))
+        del r
         # written so that a NaN residual fails too; the floor is only
         # evaluated when the target alone fails
         if not (res <= target or res <= self._roundoff * float(np.sqrt((q * q).sum()))):
             raise SolverFailure("pressure Poisson solve failed its residual check", res / rhs_norm)
-        return q, grad_q, res / rhs_norm
+        return q, res / rhs_norm
 
     def _inverse_eigenvalues(self) -> np.ndarray:
         """``1 / lambda`` of the zero-flux cell Laplacian's cosine modes, 0 at
@@ -441,18 +449,23 @@ def project_with_potential(w: VectorField, solver: PoissonSolver):
     The Poisson residual equals the post-projection divergence (flux-form
     composition is exact), so the solve's certificate checks it below
     ``1e-10 * ||w|| / sqrt(vol)`` in cell-l2, giving
-    ``||div(P w)||_L2 <= 1e-10 * ||w||_L2``.  The certificate's residual is
-    ``divergence_fc`` of the very ``gradient_cc(q)`` subtracted here: the
-    solve hands it over instead of it being computed twice.  ``div(w)`` goes
-    to the solve without a name here, so it dies once the solve has formed
-    its right-hand side.
+    ``||div(P w)||_L2 <= 1e-10 * ||w||_L2``.  ``div(w)`` goes to the solve
+    without a name here, so it dies once the solve has formed its right-hand
+    side.  The gradient of the potential is formed one face component at a
+    time (``gradient_component``) and ``w`` subtracted into it, so no
+    gradient pair is held and ``w``, which may belong to the caller, is only
+    read.
     """
     w.check_finite("projection input")
+    g = w.grid
     w_norm = np.sqrt(vector_l2_sq(w))
-    abs_target = 1e-10 * w_norm / np.sqrt(w.grid.volume_element)
-    q, grad_q, residual = solver.solve(divergence_fc(w).data, abs_target=abs_target)
-    comps = [np.subtract(wc, gc, out=gc) for wc, gc in zip(w.components, grad_q.components)]
-    return VectorField(w.grid, comps), ScalarField(w.grid, q), residual
+    abs_target = 1e-10 * w_norm / np.sqrt(g.volume_element)
+    q, residual = solver.solve(divergence_fc(w).data, abs_target=abs_target)
+    comps = []
+    for d, wc in enumerate(w.components):
+        grad = gradient_component(q, g, d)
+        comps.append(np.subtract(wc, grad, out=grad))
+    return VectorField(g, comps), ScalarField(g, q), residual
 
 
 def helmholtz_project(w: VectorField, solver: PoissonSolver) -> VectorField:
@@ -528,11 +541,28 @@ def dirichlet_energy(U: VectorField) -> float:
     return total * g.volume_element
 
 
+def _odd_ghost_differences(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Differences along ``axis`` of ``arr`` between odd-mirror ghosts: the
+    bits of ``np.diff(_mirror_pad(arr, axis, -1.0), axis=axis)`` with no
+    padded copy.  The two wall entries difference a slice and its ghost,
+    ``arr[0] - (-1 * arr[0])`` and ``(-1 * arr[-1]) - arr[-1]``."""
+    s = _axis_slices(axis, arr.ndim)
+    shape = list(arr.shape)
+    shape[axis] += 1
+    D = np.empty(shape)
+    np.subtract(arr[s.hi], arr[s.lo], out=D[s.mid])
+    np.subtract(arr[s.first], np.multiply(arr[s.first], -1.0), out=D[s.first])
+    np.subtract(np.multiply(arr[s.last], -1.0), arr[s.last], out=D[s.last])
+    return D
+
+
 def convection_upwind(A: VectorField, U: VectorField) -> VectorField:
     """Advective-form upwind transport ``(A . grad) U`` on the staggered grid.
 
     Along each axis one pass of differences ``D`` serves both sides: the
     backward difference at a face is ``D[lo]``, the forward one ``D[hi]``.
+    Every temporary of an axis (and the term array of a component) is
+    dropped before the next one allocates its own.
     """
     g = U.grid
     out = []
@@ -548,16 +578,18 @@ def convection_upwind(A: VectorField, U: VectorField) -> VectorField:
                 D = np.subtract(arr[s.hi], arr[s.lo])
                 _zero_walls(sel, e)
                 dst, carrier = sel[s.mid], a_e[s.mid]
-            else:
-                pad = _mirror_pad(arr, e, -1.0)
-                D = np.subtract(pad[s.hi], pad[s.lo])
+            else:  # across: the odd ghosts beyond the walls, without a padded copy
+                D = _odd_ghost_differences(arr, e)
                 dst, carrier = sel, a_e
             D /= g.spacing[e]
             np.copyto(dst, D[s.hi])
             np.copyto(dst, D[s.lo], where=carrier > 0.0)
+            del D, dst, carrier  # the views too: they keep their bases alive
             sel *= a_e
+            del a_e
             if e > 0:
                 conv += term
+        del sel, term
         _zero_walls(conv, d)
         out.append(conv)
     return VectorField(g, out)
@@ -702,6 +734,7 @@ def ns_substep(
     else:  # no explicit term: u* solves from the caller's u, which stays as it is
         u_star = diffusion_resolvent(u, dt, solver)
     u_next, q, proj_residual = project_with_potential(u_star, solver)
+    del u_star  # before the pressure's potential term allocates
     P = q.data
     P /= dt
     if params.phi is not None:

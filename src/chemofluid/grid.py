@@ -6,8 +6,8 @@ component per face orientation.  All differential operators are written in
 flux form so that discrete conservation and summation-by-parts identities hold
 exactly:
 
-  * ``laplacian_neumann(f)`` equals ``divergence_fc(gradient_cc(f))`` by
-    construction (it is implemented as that composition).
+  * ``laplacian_neumann(f)`` equals ``divergence_fc(gradient_cc(f))`` bit
+    for bit: it is that composition's stencil, written without the face pair.
   * For any face field F whose wall faces vanish,
     ``<gradient_cc(f), F> == -<f, divergence_fc(F)>`` up to roundoff.
 
@@ -356,9 +356,35 @@ def divergence_fc(F: VectorField) -> ScalarField:
     return ScalarField(g, out)
 
 
-def laplacian_neumann(f: ScalarField) -> ScalarField:
-    """Zero-flux Laplacian; exactly the composition of the two operators above."""
-    return divergence_fc(gradient_cc(f))
+def laplacian_neumann(f: ScalarField, term: np.ndarray = None) -> ScalarField:
+    """Zero-flux Laplacian with the bits of ``divergence_fc(gradient_cc(f))``.
+
+    No face pair is formed.  Along each axis the differences ``D`` over the
+    interior faces are divided by ``h`` (the gradient there), and a cell
+    takes ``(D[i] - D[i-1]) / h`` with the wall faces' zero on either end,
+    as the divergence does: ``D[0] - 0`` is ``D[0]`` and ``0 - D[-1]`` is
+    computed as written.  The first axis goes straight into the output, each
+    later one into ``term`` and is added: ``term`` may carry a cell-shaped
+    scratch array of the caller's, whose contents are overwritten.
+    """
+    g = f.grid
+    data = f.data
+    out = np.empty(g.shape)
+    if term is None:
+        term = np.empty(g.shape)
+    for d in range(g.dim):
+        s = _axis_slices(d, g.dim)
+        dst = out if d == 0 else term
+        D = np.subtract(data[s.hi], data[s.lo])
+        D /= g.spacing[d]
+        np.subtract(D[s.hi], D[s.lo], out=dst[s.mid])
+        dst[s.first] = D[s.first]
+        np.subtract(0.0, D[s.last], out=dst[s.last])
+        del D  # before the next axis allocates its own
+        dst /= g.spacing[d]
+        if d > 0:
+            out += term
+    return ScalarField(g, out)
 
 
 def integrate(f: ScalarField) -> float:

@@ -26,6 +26,7 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
+    _abs_max,
     _axis_slices,
     _upwind_select,
     _zero_walls,
@@ -270,15 +271,20 @@ def _face_drift_components(
     cutoff: WallCutoff = None,
     grad_c=None,
 ):
-    """Per-face drift velocity ``f_eps(n~) S_eps grad(c)`` and upwind density.
+    """Per-face chemotactic flux ``n~ v`` of the drift velocity ``v =
+    f_eps(n~) S_eps grad(c)``, and ``max |v|``.
 
-    Returns ``(n_up, drift)`` lists indexed by face orientation.  The upwind
-    side is chosen from the sign of the drift direction ``rho (R grad c)_d``;
-    the density scalars ``(1+n)**(-alpha)`` and ``f_eps`` are positive, so the
-    direction can be fixed before the upwind value is known.  ``cutoff`` may
-    carry the run's ``WallCutoff`` and ``grad_c`` a precomputed
-    ``gradient_cc(c)``; without it the scalar kind computes, per axis, only
-    the component that axis reads.
+    Returns ``(flux, vmax)``: ``flux`` is a list indexed by face
+    orientation, ``vmax`` the largest of the per-axis maxima of ``|v|``
+    (the CFL's drift limit).  Each axis takes its maximum of ``|v|`` and
+    then multiplies the upwind density ``n~`` into ``v``, so ``v`` and ``n~``
+    are never both held past their axis.  The upwind side is chosen from the
+    sign of the drift direction ``rho (R grad c)_d``; the density scalars
+    ``(1+n)**(-alpha)`` and ``f_eps`` are positive, so the direction can be
+    fixed before the upwind value is known.  ``cutoff`` may carry the run's
+    ``WallCutoff`` and ``grad_c`` a precomputed ``gradient_cc(c)``; without
+    it the scalar kind computes, per axis, only the component that axis
+    reads.
     """
     g = n.grid
     if c.grid != g:
@@ -300,7 +306,7 @@ def _face_drift_components(
         feps *= q
         del q
         np.divide(1.0, feps, out=feps)
-    n_up_list, drift_list = [], []
+    flux, maxima = [], []
     for d in range(g.dim):
         s = _axis_slices(d, g.dim)
         if spec.kind == "rotational":
@@ -327,11 +333,13 @@ def _face_drift_components(
             _upwind_select(work[s.mid], feps, d, upwind)  # the walls keep (1 + 0)^(-alpha) = 1
             drift *= work
         drift *= sg
-        del sg, work, upwind  # before the next axis allocates its own
+        del sg, work, upwind
         _zero_walls(drift, d)  # wall faces never carry chemotactic flux
-        n_up_list.append(n_up)
-        drift_list.append(drift)
-    return n_up_list, drift_list
+        maxima.append(_abs_max(drift))
+        drift *= n_up  # the flux n~ v: multiplication commutes, so n~ v and v n~ agree
+        del n_up  # before the next axis allocates its own
+        flux.append(drift)
+    return flux, max(maxima)
 
 
 def chemotactic_flux(
@@ -341,6 +349,5 @@ def chemotactic_flux(
     reg: RegularizationParams,
 ) -> VectorField:
     """Face flux ``n~ f_eps(n~) S_eps grad(c)`` with upwinded face density."""
-    n_up, drift = _face_drift_components(n, c, spec, reg)
-    comps = [n_up[d] * drift[d] for d in range(n.grid.dim)]
-    return VectorField(n.grid, comps)
+    flux, _ = _face_drift_components(n, c, spec, reg)
+    return VectorField(n.grid, flux)

@@ -153,14 +153,15 @@ def _accuracy_cap(params: SimParams) -> float:
 def _cfl_parts(state: State, params: SimParams, cutoff=None, grad_c=None):
     """``(limit, bound, drift)``: sigma times the tightest of the advection,
     chemotactic-drift and reaction limits, its name in ``STEP_BOUNDS``, and
-    the chemotactic face states it read."""
+    the ``(flux, vmax)`` pair of ``_face_drift_components`` it read, for
+    ``step_n`` to consume."""
     hmin = min(params.grid.spacing)
     umax = state.u.max_abs()
     adv = hmin / umax if umax > 0 else np.inf
     drift = _face_drift_components(
         state.n, state.c, params.sensitivity, params.regularization, cutoff, grad_c
     )
-    vmax = max(_abs_max(v) for v in drift[1])
+    vmax = drift[1]
     chemo = hmin / vmax if vmax > 0 else np.inf
     limit, bound = min((adv, "advection"), (chemo, "drift"), (0.5, "reaction"))
     return params.cfl_sigma * limit, bound, drift
@@ -170,10 +171,11 @@ def cfl_dt(state: State, params: SimParams) -> float:
     """The fixed-cap step: sigma times the tightest of the diffusion accuracy
     cap ``h^2/2`` and the advection, chemotactic-drift and reaction limits.
 
-    ``run`` never steps below it (bar a last step landing on T).  It takes
-    exactly this step when the run records snapshots; otherwise its
-    controller may grow the step up to ``CEILING_FACTOR * sigma h^2/2``
-    within the explicit limits.
+    ``run`` never steps below it, bar its last one or two steps:
+    ``_step_size`` splits a remainder under two steps into two equal halves,
+    and the last step takes what is left of T.  It takes exactly this step
+    when the run records snapshots; otherwise its controller may grow the
+    step up to ``CEILING_FACTOR * sigma h^2/2`` within the explicit limits.
     """
     state.n.check_finite("n")
     state.c.check_finite("c")

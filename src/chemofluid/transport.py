@@ -77,12 +77,12 @@ def step_n(
     """Advance n by explicit chemotaxis and advection in flux form, then
     backward-Euler diffusion.
 
-    ``drift`` may carry precomputed ``(n_up, drift)`` face states from the
-    CFL evaluation to avoid recomputing the chemotactic velocity; the step
-    consumes them: the drift arrays are overwritten with ``n_up * drift`` and
-    both lists are emptied before the divergence.  ``cutoff`` may carry the
-    run's ``WallCutoff`` and ``solver`` its spectral core for the diffusion
-    resolvent.
+    ``drift`` may carry the ``(flux, vmax)`` pair of
+    ``_face_drift_components`` from the CFL evaluation, to avoid recomputing
+    the chemotactic flux; the step consumes it: each flux array is added to
+    its advective face flux and the list is emptied before the divergence.
+    ``cutoff`` may carry the run's ``WallCutoff`` and ``solver`` its spectral
+    core for the diffusion resolvent.
     ``forcing`` (manufactured solutions) adds ``dt * f(coords, t)`` and
     intentionally breaks mass conservation.
     """
@@ -94,14 +94,13 @@ def step_n(
 
     if drift is None:
         drift = _face_drift_components(n, c, spec, reg, cutoff)
-    n_up, vel = drift
+    flux, _ = drift
 
     adv = advective_flux(n, u)
-    for d, comp in enumerate(adv.components):  # n~ u + n~ drift, in place
-        comp += np.multiply(n_up[d], vel[d], out=vel[d])
-    # emptied, not unbound, so that the caller's reference frees them too
-    n_up.clear()
-    vel.clear()
+    for comp, chemo in zip(adv.components, flux):  # n~ u + the chemotactic flux, in place
+        comp += chemo
+    del chemo
+    flux.clear()  # emptied, not unbound, so that the caller's reference frees it too
     data = divergence_fc(adv).data
     data *= -dt
     data += n.data

@@ -5,6 +5,7 @@ import pytest
 
 from chemofluid.grid import (
     ScalarField,
+    _abs_max,
     _zero_walls,
     gradient_cc,
     make_grid,
@@ -208,13 +209,14 @@ class TestChemotacticFlux:
         reg = RegularizationParams(eps=0.1)
         rho = rho_on_faces(grid2d, reg)
         grad_c = gradient_cc(c)
-        n_up, drift = _face_drift_components(n, c, spec, reg)
+        flux, _ = _face_drift_components(n, c, spec, reg)
+        n_up, _ = per_face_drift(n, c, spec, reg)
         for d in range(grid2d.dim):
             # the general path's operations, in its order, with the power
             sg = _rotated_gradient(grad_c, rotation_matrix(2, spec.theta), d)
             w = n_up[d] * reg.eps + 1.0
             ref = rho[d] * spec.C_S * np.power(n_up[d] + 1.0, -1.0) * (1.0 / (w * w * w)) * sg
-            assert np.array_equal(drift[d], _zero_walls(ref, d))
+            assert np.array_equal(flux[d], n_up[d] * _zero_walls(ref, d))
 
     def test_matches_per_face_hand_assembly_1d_profile(self):
         # derived oracle: independent per-face assembly of
@@ -413,12 +415,12 @@ class TestDriftKernel:
         spec = SensitivitySpec(kind=kind, C_S=0.7, alpha=alpha, theta=np.pi / 2)
         reg = RegularizationParams(eps=eps)
         grad_c = gradient_cc(c) if handed else None
-        n_up, drift = _face_drift_components(n, c, spec, reg, WallCutoff(g, reg), grad_c)
+        flux, vmax = _face_drift_components(n, c, spec, reg, WallCutoff(g, reg), grad_c)
         ref_n_up, ref_drift = per_face_drift(n, c, spec, reg)
+        assert vmax == max(_abs_max(v) for v in ref_drift)
         for d in range(g.dim):
-            assert np.array_equal(n_up[d], ref_n_up[d])
-            assert np.array_equal(drift[d], ref_drift[d])
-            assert not np.signbit(drift[d][_axis_walls(d, g.dim)]).any()
+            assert np.array_equal(flux[d], ref_n_up[d] * ref_drift[d])
+            assert not np.signbit(flux[d][_axis_walls(d, g.dim)]).any()
         if handed:  # read, not written
             for a, b in zip(grad_c.components, gradient_cc(c).components):
                 assert np.array_equal(a, b)
@@ -426,22 +428,24 @@ class TestDriftKernel:
     def test_upwinds_by_the_product_where_it_underflows(self):
         # h = 4 and a subnormal step in c: at the face (1, 0), h/2 from a
         # wall, the direction rho * (grad c)_0 rounds to 0 while (grad c)_0 > 0,
-        # so n~ is the upper cell's value there, as in the per-face formula
+        # so n~ is the upper cell's value there, as in the per-face formula.
+        # A huge C_S keeps the drift there nonzero, so that n~ shows in the
+        # flux: the lower cell's density is 0
         g = make_grid(2, (64.0, 64.0), (16, 16))
         reg = RegularizationParams(eps=0.1)
-        spec = SensitivitySpec(kind="scalar_saturating", C_S=0.7)
+        spec = SensitivitySpec(kind="scalar_saturating", C_S=1e300)
         c = ScalarField.zeros(g)
         c.data[1, 0] = 3 * 5e-324
         n = ScalarField(g, np.arange(256.0).reshape(16, 16))
         grad = gradient_cc(c).components[0]
         rho = rho_on_faces(g, reg)[0]
         assert grad[1, 0] > 0.0 and rho[1, 0] * grad[1, 0] == 0.0
-        n_up, drift = _face_drift_components(n, c, spec, reg)
+        flux, _ = _face_drift_components(n, c, spec, reg)
         ref_n_up, ref_drift = per_face_drift(n, c, spec, reg)
-        assert n_up[0][1, 0] == n.data[1, 0]
+        assert ref_n_up[0][1, 0] == n.data[1, 0] and n.data[0, 0] == 0.0
+        assert ref_drift[0][1, 0] > 0.0 and flux[0][1, 0] > 0.0
         for d in range(2):
-            assert np.array_equal(n_up[d], ref_n_up[d])
-            assert np.array_equal(drift[d], ref_drift[d])
+            assert np.array_equal(flux[d], ref_n_up[d] * ref_drift[d])
 
 
 def _axis_walls(d, dim):
